@@ -201,8 +201,9 @@ func BenchmarkElbowThreshold(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ------------------------------------------
 
-// Ablation 1: greedy incremental heap updates vs full recomputation.
-func BenchmarkAblationGreedyHeapIncremental(b *testing.B) {
+// Ablation 1: lazy greedy (keys refreshed only when popped) vs full
+// recomputation of every gain after each pick.
+func BenchmarkAblationGreedyHeapLazy(b *testing.B) {
 	f := fixtures()
 	g := f.graphs[model.GranularityPairs][0]
 	b.ResetTimer()

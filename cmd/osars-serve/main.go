@@ -135,7 +135,6 @@ func main() {
 		stateless    = flag.Bool("stateless", false, "disable the stateful /v1/items API")
 		cacheEntries = flag.Int("cache-entries", 1024, "summary cache entry budget (negative disables caching)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "summary cache byte budget (negative: entry-count only)")
-		covIndex     = flag.Bool("coverage-index", true, "maintain per-item incremental coverage indexes so append→summarize is O(delta); false rebuilds the coverage graph on every solve")
 		dataDir      = flag.String("data-dir", "", "durable mode: persist the corpus (WAL + snapshots) in this directory; empty keeps the store in memory")
 		fsyncMode    = flag.String("fsync", "always", "WAL flush policy: always (sync before every ack), interval (background timer), never (OS page cache)")
 		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
@@ -336,17 +335,16 @@ func main() {
 	var follower *repl.Follower
 	if !*stateless {
 		st, err = sum.OpenStore(osars.StoreOptions{
-			MaxCacheEntries:      *cacheEntries,
-			MaxCacheBytes:        *cacheBytes,
-			DisableCoverageIndex: !*covIndex,
-			Shards:               *shards,
-			DataDir:              *dataDir,
-			Fsync:                fsync,
-			FsyncInterval:        *fsyncEvery,
-			SnapshotEvery:        *snapEvery,
-			WALSegmentBytes:      *segBytes,
-			Replica:              *role == "replica",
-			Metrics:              reg,
+			MaxCacheEntries: *cacheEntries,
+			MaxCacheBytes:   *cacheBytes,
+			Shards:          *shards,
+			DataDir:         *dataDir,
+			Fsync:           fsync,
+			FsyncInterval:   *fsyncEvery,
+			SnapshotEvery:   *snapEvery,
+			WALSegmentBytes: *segBytes,
+			Replica:         *role == "replica",
+			Metrics:         reg,
 		})
 		if err != nil {
 			log.Fatalf("osars-serve: open store: %v", err)

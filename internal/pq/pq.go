@@ -1,26 +1,26 @@
-// Package pq implements an indexed max-heap priority queue.
+// Package pq implements the max-heap behind the greedy summarizer
+// (paper §4.4, Algorithm 2).
 //
 // The queue stores items identified by dense integer IDs in [0, n) and
-// orders them by a float64 key. Unlike container/heap, it supports
-// changing the key of an item that is already enqueued in O(log n),
-// which the greedy summarizer (paper §4.4, Algorithm 2) needs: after a
-// pair p is added to the summary, the marginal gains δ(q, F) of all
-// neighbors-of-neighbors q of p change and their heap keys must be
-// updated in place.
+// orders them by a float64 key, breaking key ties by the smaller ID —
+// the tie-break the greedy's equivalence to its rebuild-everything
+// reference relies on. A position index rejects pushing an item that
+// is already enqueued, and the backing arrays are reusable across
+// solves (Reset).
 package pq
 
 import "fmt"
 
-// Max is an indexed max-heap keyed by float64. Item IDs must be dense
-// integers in [0, capacity). The zero value is not usable; construct
-// with NewMax.
+// Max is a max-heap keyed by float64. Item IDs must be dense integers
+// in [0, capacity). The zero value is not usable; construct with
+// NewMax.
 type Max struct {
 	heap []int     // heap[i] = item id at heap position i
 	pos  []int     // pos[id] = heap position of id, or -1 if absent
 	key  []float64 // key[id] = current key of id (valid while present)
 }
 
-// NewMax returns an empty indexed max-heap able to hold item IDs in
+// NewMax returns an empty max-heap able to hold item IDs in
 // [0, capacity).
 func NewMax(capacity int) *Max {
 	pos := make([]int, capacity)
@@ -56,18 +56,6 @@ func (m *Max) Reset(capacity int) {
 // Len reports the number of items currently enqueued.
 func (m *Max) Len() int { return len(m.heap) }
 
-// Contains reports whether item id is currently enqueued.
-func (m *Max) Contains(id int) bool { return id >= 0 && id < len(m.pos) && m.pos[id] >= 0 }
-
-// Key returns the current key of item id. It panics if id is not
-// enqueued.
-func (m *Max) Key(id int) float64 {
-	if !m.Contains(id) {
-		panic(fmt.Sprintf("pq: Key of absent item %d", id))
-	}
-	return m.key[id]
-}
-
 // Push inserts item id with the given key. It panics if id is out of
 // range or already enqueued.
 func (m *Max) Push(id int, key float64) {
@@ -102,63 +90,20 @@ func (m *Max) BuildFrom(keys []float64) {
 }
 
 // PopMax removes and returns the item with the largest key and that
-// key. It panics on an empty queue. Ties are broken arbitrarily but
-// deterministically.
+// key; among equal keys the smallest ID pops first. It panics on an
+// empty queue.
 func (m *Max) PopMax() (id int, key float64) {
 	if len(m.heap) == 0 {
 		panic("pq: PopMax on empty queue")
 	}
 	id = m.heap[0]
 	key = m.key[id]
-	m.remove(0)
-	return id, key
-}
-
-// PeekMax returns the item with the largest key without removing it.
-// It panics on an empty queue.
-func (m *Max) PeekMax() (id int, key float64) {
-	if len(m.heap) == 0 {
-		panic("pq: PeekMax on empty queue")
-	}
-	id = m.heap[0]
-	return id, m.key[id]
-}
-
-// Remove deletes item id from the queue. It panics if id is not
-// enqueued.
-func (m *Max) Remove(id int) {
-	if !m.Contains(id) {
-		panic(fmt.Sprintf("pq: Remove of absent item %d", id))
-	}
-	m.remove(m.pos[id])
-}
-
-// Update changes the key of item id, restoring heap order. It panics
-// if id is not enqueued.
-func (m *Max) Update(id int, key float64) {
-	if !m.Contains(id) {
-		panic(fmt.Sprintf("pq: Update of absent item %d", id))
-	}
-	old := m.key[id]
-	m.key[id] = key
-	switch {
-	case key > old:
-		m.up(m.pos[id])
-	case key < old:
-		m.down(m.pos[id])
-	}
-}
-
-func (m *Max) remove(i int) {
-	id := m.heap[i]
 	last := len(m.heap) - 1
-	m.swap(i, last)
+	m.swap(0, last)
 	m.heap = m.heap[:last]
 	m.pos[id] = -1
-	if i < last {
-		m.down(i)
-		m.up(i)
-	}
+	m.down(0)
+	return id, key
 }
 
 func (m *Max) less(i, j int) bool {

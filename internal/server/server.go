@@ -507,7 +507,7 @@ func (s *Server) handleItemSummary(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	sum, cached, err := osars.SummarizeStored(s.store, r.PathValue("id"), k, gran, method)
+	sum, cached, err := s.store.Summary(r.PathValue("id"), k, gran, method)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, osars.ErrItemNotFound) {

@@ -40,6 +40,14 @@ func TestCacheByteBudgetConcurrent(t *testing.T) {
 		model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
 	}
 
+	// Every item exists before the readers start, so their summaries
+	// solve and fill the cache however the goroutines are scheduled.
+	for i, id := range items {
+		if _, err := s.AppendReviews(id, "", []extract.RawReview{{ID: fmt.Sprintf("seed-%d", i), Text: texts[i]}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	const (
 		writers = 3
 		readers = 6

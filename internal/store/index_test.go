@@ -6,8 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"osars/internal/coverage"
 	"osars/internal/extract"
 	"osars/internal/model"
+	"osars/internal/ontoreg"
+	"osars/internal/summarize"
 )
 
 // manyPhoneReviews fabricates n raw reviews by cycling the fixture
@@ -41,46 +44,44 @@ func requireSameSummary(t *testing.T, got, want *Summary, label string) {
 	}
 }
 
+// coldSummary is the oracle the indexed store is checked against: a
+// from-scratch coverage.Build over the item and the rebuild-everything
+// greedy, rendered through the store's own summary code.
+func coldSummary(rt *ontoreg.Runtime, item *model.Item, k int, g model.Granularity) *Summary {
+	graph := coverage.Build(rt.Metric, item, g)
+	k = min(k, graph.NumCandidates)
+	return newSummary(rt, item, 0, k, g, MethodGreedy, len(graph.Pairs), summarize.GreedyRebuild(graph, k))
+}
+
 // TestIndexedSummariesMatchCold is the store-level equivalence check:
 // with appends interleaved between solves, an indexed store must
-// return byte-identical greedy summaries to a store running with the
-// index disabled (cold rebuild every solve), at every granularity.
+// return byte-identical greedy summaries to the cold oracle over the
+// same snapshot, at every granularity.
 func TestIndexedSummariesMatchCold(t *testing.T) {
-	cfgWarm := testConfig()
-	cfgWarm.MaxCacheEntries = -1
-	cfgCold := testConfig()
-	cfgCold.MaxCacheEntries = -1
-	cfgCold.DisableCoverageIndex = true
-	warm, err := New(cfgWarm)
+	cfg := testConfig()
+	cfg.MaxCacheEntries = -1
+	warm, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := New(cfgCold)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := warm.ActiveRuntime()
 
 	raws := manyPhoneReviews(12)
 	grans := []model.Granularity{
 		model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
 	}
 	for i := range raws {
-		for _, s := range []*Store{warm, cold} {
-			if _, err := s.AppendReviews("p1", "Acme", raws[i:i+1]); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := warm.AppendReviews("p1", "Acme", raws[i:i+1]); err != nil {
+			t.Fatal(err)
 		}
+		item, _, _ := warm.Item("p1")
 		for _, g := range grans {
 			for _, k := range []int{2, 5} {
 				sw, _, err := warm.Summary("p1", k, g, MethodGreedy)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sc, _, err := cold.Summary("p1", k, g, MethodGreedy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameSummary(t, sw, sc, fmt.Sprintf("n=%d/%v/k=%d", i+1, g, k))
+				requireSameSummary(t, sw, coldSummary(rt, item, k, g), fmt.Sprintf("n=%d/%v/k=%d", i+1, g, k))
 			}
 		}
 	}
@@ -94,9 +95,6 @@ func TestIndexedSummariesMatchCold(t *testing.T) {
 	}
 	if st.IndexWarmHits == 0 {
 		t.Fatalf("repeated same-k solves over appends never hit warm-start: %+v", st)
-	}
-	if cs := cold.Stats(); cs.IndexRebuilds != 0 || cs.IndexMerges != 0 || cs.IndexWarmHits != 0 || cs.IndexWarmFallbacks != 0 {
-		t.Fatalf("disabled-index store recorded index activity: %+v", cs)
 	}
 }
 
@@ -129,18 +127,8 @@ func TestIndexInvalidatedOnOntologySwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh, err := New(Config{Runtime: v2, MaxCacheEntries: -1, DisableCoverageIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.AppendReviews("p1", "Acme", raws); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := fresh.Summary("p1", 3, model.GranularitySentences, MethodGreedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSummary(t, got, want, "post-swap")
+	fresh := &model.Item{ID: "p1", Name: "Acme", Reviews: v2.Pipeline.AnnotateReviews(raws, 0)}
+	requireSameSummary(t, got, coldSummary(v2, fresh, 3, model.GranularitySentences), "post-swap")
 	if got.OntologyVersion != v2.Version {
 		t.Fatalf("post-swap summary version = %q, want %q", got.OntologyVersion, v2.Version)
 	}
@@ -234,18 +222,8 @@ func TestReannotationRaceInvalidatesIndex(t *testing.T) {
 
 	// The retried solve must have seen the full six-review corpus under
 	// v2 annotations.
-	fresh, err := New(Config{Runtime: v2, MaxCacheEntries: -1, DisableCoverageIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.AppendReviews("p1", "Acme", raws); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := fresh.Summary("p1", 2, model.GranularitySentences, MethodGreedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSummary(t, got, want, "raced re-annotation")
+	fresh := &model.Item{ID: "p1", Name: "Acme", Reviews: v2.Pipeline.AnnotateReviews(raws, 0)}
+	requireSameSummary(t, got, coldSummary(v2, fresh, 2, model.GranularitySentences), "raced re-annotation")
 
 	// And the store stays coherent afterwards: further appends + indexed
 	// solves still match cold.

@@ -21,7 +21,7 @@ type storeMetrics struct {
 	commitBatch     *obs.Histogram // group-commit batch size (records per durable commit)
 	snapshotSeconds *obs.Histogram // snapshot + WAL compaction duration
 
-	// Incremental coverage-index instruments.
+	// Incremental coverage index instruments.
 	indexMergeSeconds  *obs.Histogram // append-path index merges (O(delta) maintenance)
 	indexRebuilds      *obs.Counter   // indexes built from scratch at solve time
 	indexWarmHits      *obs.Counter   // warm-start greedy replays confirmed
@@ -55,7 +55,7 @@ func newStoreMetrics(reg *obs.Registry, shard string) storeMetrics {
 			"Coverage-graph acquisition latency in seconds: a cold build, or the incremental index's catch-up plus freeze.",
 			nil, "shard").With(shard),
 		indexMergeSeconds: reg.HistogramVec("osars_store_index_merge_seconds",
-			"Append-path incremental coverage-index merge latency in seconds (delta maintenance, off the commit critical section).",
+			"Append-path incremental coverage index merge latency in seconds (delta maintenance, off the commit critical section).",
 			nil, "shard").With(shard),
 		indexRebuilds: reg.CounterVec("osars_store_index_rebuilds_total",
 			"Coverage indexes rebuilt from scratch at solve time (recovered snapshots, replicas, first solve of an item).",

@@ -37,8 +37,9 @@ import (
 	"osars/internal/summarize"
 )
 
-// Method selects the summarization algorithm. The values and names
-// mirror the root package's Method (greedy, rr, ilp, local-search).
+// Method selects the summarization algorithm (greedy, rr, ilp,
+// local-search). The root package re-exports it as osars.Method, so
+// the stateless and stored paths share one algorithm selector.
 type Method int
 
 // The supported algorithms.
@@ -97,11 +98,6 @@ type Config struct {
 	// MaxCacheBytes bounds the cache's approximate resident bytes
 	// (default DefaultMaxCacheBytes; negative means entries-only).
 	MaxCacheBytes int64
-	// DisableCoverageIndex turns off the per-item incremental coverage
-	// index: every summary solve rebuilds the coverage graph from
-	// scratch (the pre-index behavior). Mainly for benchmarks and
-	// incident bisection.
-	DisableCoverageIndex bool
 
 	// DataDir enables durable persistence: ingestion is written to a
 	// segmented write-ahead log in this directory before it is
@@ -169,10 +165,6 @@ type Store struct {
 
 	// persist is the durability subsystem (nil for in-memory stores).
 	persist *persister
-
-	// noIndex disables the incremental coverage index
-	// (Config.DisableCoverageIndex).
-	noIndex bool
 
 	appends       atomic.Uint64
 	solves        atomic.Uint64
@@ -283,7 +275,6 @@ func New(cfg Config) (*Store, error) {
 		items:   make(map[string]*entry),
 		cache:   newLRU(cfg.MaxCacheEntries, cfg.MaxCacheBytes),
 		metrics: newStoreMetrics(cfg.Obs, cfg.ObsShard),
-		noIndex: cfg.DisableCoverageIndex,
 	}
 	s.rt.Store(cfg.Runtime)
 	s.cache.evicted = s.metrics.cacheEvictions
@@ -393,9 +384,6 @@ func (s *Store) AppendReviews(id, name string, reviews []extract.RawReview) (Ite
 // annotations no longer match ver (a racing swap went mixed) is
 // skipped — its indexes were invalidated with it.
 func (s *Store) updateIndexes(id, ver string) {
-	if s.noIndex {
-		return
-	}
 	s.mu.RLock()
 	e, ok := s.items[id]
 	var item *model.Item
@@ -777,9 +765,6 @@ func (s *Store) itemAt(rt *ontoreg.Runtime, id string) (*model.Item, uint64, boo
 // indexes are never persisted), a cold Build otherwise. The returned
 // graph is immutable either way.
 func (s *Store) graphFor(rt *ontoreg.Runtime, item *model.Item, g model.Granularity) *coverage.Graph {
-	if s.noIndex {
-		return coverage.Build(rt.Metric, item, g)
-	}
 	s.mu.RLock()
 	e, ok := s.items[item.ID]
 	usable := ok && e.annVer == rt.Version
@@ -858,23 +843,19 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 	var err error
 	switch m {
 	case MethodGreedy:
-		if graph.InitGains() != nil {
-			// Index-frozen graph: warm-start from the previous selection
-			// at this (k, granularity). Identical result either way.
-			prev := s.warmResult(item.ID, rt.Version, k, g)
-			var hit bool
-			res, hit = summarize.GreedyWarm(graph, k, prev)
-			if hit {
-				s.warmHits.Add(1)
-				s.metrics.indexWarmHits.Inc()
-			} else {
-				s.warmFallbacks.Add(1)
-				s.metrics.indexWarmFallbacks.Inc()
-			}
-			s.storeWarm(item.ID, rt.Version, k, g, res)
+		// Warm-start from the previous selection at this (k,
+		// granularity); the result is identical either way.
+		prev := s.warmResult(item.ID, rt.Version, k, g)
+		var hit bool
+		res, hit = summarize.GreedyWarm(graph, k, prev)
+		if hit {
+			s.warmHits.Add(1)
+			s.metrics.indexWarmHits.Inc()
 		} else {
-			res = summarize.Greedy(graph, k)
+			s.warmFallbacks.Add(1)
+			s.metrics.indexWarmFallbacks.Inc()
 		}
+		s.storeWarm(item.ID, rt.Version, k, g, res)
 	case MethodRR:
 		res, err = summarize.RandomizedRounding(graph, k, rand.New(rand.NewSource(s.seed)), nil)
 	case MethodILP:
@@ -885,6 +866,15 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 	if err != nil {
 		return nil, err
 	}
+	sum := newSummary(rt, item, gen, k, g, m, len(graph.Pairs), res)
+	s.metrics.solveSeconds[m].ObserveSince(solveStart)
+	return sum, nil
+}
+
+// newSummary renders a selection over the item snapshot into a
+// Summary; k is the effective (clamped) k and numPairs the solved
+// graph's pair count.
+func newSummary(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, g model.Granularity, m Method, numPairs int, res *summarize.Result) *Summary {
 	sum := &Summary{
 		ItemID:          item.ID,
 		Generation:      gen,
@@ -892,7 +882,7 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 		Granularity:     g,
 		Method:          m,
 		Cost:            res.Cost,
-		NumPairs:        len(graph.Pairs),
+		NumPairs:        numPairs,
 		Indices:         res.Selected,
 		Ontology:        rt.Name,
 		OntologyVersion: rt.Version,
@@ -919,8 +909,7 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 			sum.ReviewIDs = append(sum.ReviewIDs, item.Reviews[idx].ID)
 		}
 	}
-	s.metrics.solveSeconds[m].ObserveSince(solveStart)
-	return sum, nil
+	return sum
 }
 
 // Stats is a point-in-time snapshot of store-level counters.
@@ -944,7 +933,7 @@ type Stats struct {
 	Reannotations         uint64 `json:"reannotations,omitempty"`
 	OntologyActivations   uint64 `json:"ontology_activations,omitempty"`
 
-	// Incremental coverage-index counters: append-path merges, lazy
+	// Incremental coverage index counters: append-path merges, lazy
 	// solve-time rebuilds (first solve, recovered snapshots, replicas),
 	// and warm-start greedy hit/fallback totals.
 	IndexMerges        uint64 `json:"index_merges,omitempty"`

@@ -1,9 +1,8 @@
 // Package summarize implements the paper's three summary-selection
 // algorithms (§4) over a precomputed coverage graph:
 //
-//   - Greedy (§4.4, Algorithm 2): submodular greedy with an indexed
-//     max-heap and neighbor-of-neighbor key updates; Wolsey's bound
-//     (Theorem 4) applies.
+//   - Greedy (§4.4, Algorithm 2): submodular greedy over a max-heap of
+//     lazily refreshed gains; Wolsey's bound (Theorem 4) applies.
 //   - RandomizedRounding (§4.3, Algorithm 1): solve the LP relaxation,
 //     then sample k candidates without replacement from x/‖x‖₁; the
 //     bound of Theorem 3 applies.
@@ -51,8 +50,8 @@ func checkK(g *coverage.Graph, k int) {
 	}
 }
 
-// greedyScratch is the pooled per-solve state of Greedy: the current
-// pair distances, the initial key vector and the indexed heap. Slices
+// greedyScratch is the pooled per-solve state of GreedyWarm: the
+// current pair distances, the initial key vector and the heap. Slices
 // grow monotonically and are reused across solves, so a server solving
 // cache misses in a loop allocates only the returned Result.
 type greedyScratch struct {
@@ -63,121 +62,40 @@ type greedyScratch struct {
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
-// Greedy runs Algorithm 2: start from F = {root}, repeat k times
-// adding the candidate with the largest cost reduction δ(p, F), chosen
-// by an indexed max-heap whose keys are updated incrementally through
-// the covered pairs' coverer lists (the "neighbors of neighbors" of
-// the selected candidate). The inner loops walk the graph's CSR rows
-// directly (CoveredRow/CoverersRow) rather than through the Covered /
-// Coverers closures, and all scratch state is pooled.
+// Greedy runs Algorithm 2: start from F = {root} and repeat k times,
+// adding the candidate with the largest cost reduction δ(p, F), ties
+// broken by the smaller candidate index. It is GreedyWarm without a
+// previous selection.
 func Greedy(g *coverage.Graph, k int) *Result {
-	checkK(g, k)
-	n := g.NumCandidates
-
-	s := greedyPool.Get().(*greedyScratch)
-	defer greedyPool.Put(s)
-
-	// curDist[w] = current distance from F ∪ {root} to pair w.
-	if cap(s.curDist) < len(g.Pairs) {
-		s.curDist = make([]int32, len(g.Pairs))
-	}
-	curDist := s.curDist[:len(g.Pairs)]
-	copy(curDist, g.RootDist)
-
-	// Initial keys: δ(u, {root}) = Σ_w max(0, RootDist[w] − d(u,w)).
-	// With F = {root}, curDist[w] − d is never negative (d ≤ RootDist
-	// by Definition 1), but keep the guard for safety with weighted
-	// duplicate edges.
-	if cap(s.keys) < n {
-		s.keys = make([]float64, n)
-	}
-	keys := s.keys[:n]
-	for u := 0; u < n; u++ {
-		gain := 0
-		pairsRow, distsRow := g.CoveredRow(u)
-		for i, w := range pairsRow {
-			if diff := curDist[w] - distsRow[i]; diff > 0 {
-				gain += int(diff) * int(g.Weight[w])
-			}
-		}
-		keys[u] = float64(gain)
-	}
-	if s.heap == nil {
-		s.heap = pq.NewMax(n)
-	} else {
-		s.heap.Reset(n)
-	}
-	heap := s.heap
-	heap.BuildFrom(keys)
-
-	res := &Result{Selected: make([]int, 0, k)}
-	for len(res.Selected) < k {
-		u, _ := heap.PopMax()
-		res.Selected = append(res.Selected, u)
-		// Tighten covered pairs and adjust affected coverers' keys.
-		pairsRow, distsRow := g.CoveredRow(u)
-		for i, w := range pairsRow {
-			d := distsRow[i]
-			old := curDist[w]
-			if d >= old {
-				continue
-			}
-			weight := int(g.Weight[w])
-			cands, cdists := g.CoverersRow(int(w))
-			for j, q32 := range cands {
-				q := int(q32)
-				if !heap.Contains(q) {
-					continue
-				}
-				dq := cdists[j]
-				oldContrib := old - dq
-				if oldContrib < 0 {
-					oldContrib = 0
-				}
-				newContrib := d - dq
-				if newContrib < 0 {
-					newContrib = 0
-				}
-				if delta := int(newContrib) - int(oldContrib); delta != 0 {
-					heap.Update(q, heap.Key(q)+float64(delta*weight))
-				}
-			}
-			curDist[w] = d
-		}
-	}
-	total := 0
-	for w, d := range curDist {
-		total += int(d) * int(g.Weight[w])
-	}
-	res.Cost = float64(total)
+	res, _ := GreedyWarm(g, k, nil)
 	return res
 }
 
-// GreedyWarm is Greedy restructured for warm, append-mostly serving:
-// the same selection as the cold run, computed lazily.
+// GreedyWarm is Algorithm 2's selection computed lazily (Minoux's
+// accelerated greedy, CELF in Leskovec et al., KDD 2007), optionally
+// checked against a previous selection.
 //
 //   - Key initialization: when the graph carries maintained initial
 //     gains (Graph.InitGains, present on index-frozen graphs), the
 //     O(|E|) initialization scan becomes an O(|U|) copy.
-//   - Selection: lazy (CELF-style) instead of eager. Stored heap keys
-//     are upper bounds — a candidate's gain only shrinks as F grows
-//     (submodularity), and keys are only ever set to a formerly exact
-//     gain. Pop the max, recompute its exact gain over its covered
-//     row; if the gain still equals the stored key the pop is the true
-//     argmax and is selected, otherwise the candidate is pushed back
-//     with the refreshed key. This skips Greedy's
-//     neighbor-of-neighbor key maintenance entirely — nothing ever
-//     touches the backward adjacency.
+//   - Selection: stored heap keys are upper bounds — a candidate's
+//     gain only shrinks as F grows (submodularity), and keys are only
+//     ever set to a formerly exact gain. Pop the max, recompute its
+//     exact gain over its covered row; if the gain still equals the
+//     stored key the pop is the true argmax and is selected, otherwise
+//     the candidate is pushed back with the refreshed key. No other
+//     key is touched, so the backward adjacency is never walked.
 //
-// The result is IDENTICAL to Greedy's on every input, ties included:
-// a fresh pop's key bounds every other stored key and therefore every
-// other true gain, so its candidate has maximal gain; and an
-// equal-gain candidate with a smaller index either sits fresh in the
-// heap (the indexed heap breaks key ties by smaller index, so it pops
-// first) or sits stale with a larger key (it pops even earlier,
-// refreshes to the tied key, reinserts, and again wins the index
-// tie-break). Equivalence is fuzzed against cold Greedy across batch-
-// and index-built graphs.
+// The selection equals Algorithm 2's eager form (which updates the
+// keys of the picked candidate's neighbors-of-neighbors after every
+// pick) on every input, ties included: a fresh pop's key bounds every
+// other stored key and therefore every other true gain, so its
+// candidate has maximal gain; and an equal-gain candidate with a
+// smaller index either sits fresh in the heap (the heap breaks key
+// ties by smaller index, so it pops first) or sits stale with a larger
+// key (it pops even earlier, refreshes to the tied key, reinserts, and
+// again wins the index tie-break). Equivalence is fuzzed against
+// GreedyRebuild across batch-, index- and real-ontology graphs.
 //
 // prev — the previous solve's selection at the same (k, granularity)
 // — is compared step by step; warm reports whether it survived the
@@ -263,10 +181,11 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 	return res, warm
 }
 
-// GreedyRebuild is the ablation variant of Greedy (DESIGN.md ablation
-// 1): instead of incremental neighbor-of-neighbor key updates it
-// recomputes every candidate's gain and rebuilds the heap after each
-// selection. Same output, asymptotically slower.
+// GreedyRebuild is the reference implementation of Greedy (DESIGN.md
+// ablation 1): instead of refreshing heap keys lazily it recomputes
+// every candidate's gain after each selection and takes the first
+// maximum. Same output, asymptotically slower; the equivalence tests
+// compare Greedy against it.
 func GreedyRebuild(g *coverage.Graph, k int) *Result {
 	checkK(g, k)
 	n := g.NumCandidates
@@ -311,22 +230,10 @@ func GreedyRebuild(g *coverage.Graph, k int) *Result {
 // RandomizedRounding runs Algorithm 1: solve the LP relaxation of the
 // k-medians program, then draw k candidates without replacement from
 // the distribution q(p) = x_p / Σ x_p. The rng makes runs reproducible;
-// lpOpt may be nil for defaults.
+// lpOpt may be nil for defaults. It is RandomizedRoundingBest with one
+// trial.
 func RandomizedRounding(g *coverage.Graph, k int, rng *rand.Rand, lpOpt *lp.Options) (*Result, error) {
-	checkK(g, k)
-	m := lp.NewKMedianModel(g, k)
-	lpRes, err := m.SolveLP(lpOpt)
-	if err != nil {
-		return nil, fmt.Errorf("summarize: randomized rounding: %w", err)
-	}
-	sel := sampleWithoutReplacement(lpRes.X, k, rng)
-	sort.Ints(sel)
-	return &Result{
-		Selected:    sel,
-		Cost:        g.CostOf(sel),
-		LPIters:     lpRes.Iters,
-		LPObjective: lpRes.Objective,
-	}, nil
+	return RandomizedRoundingBest(g, k, 1, rng, lpOpt)
 }
 
 // sampleWithoutReplacement draws k indices from the weight vector w

@@ -3,12 +3,16 @@ package summarize
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"osars/internal/coverage"
+	"osars/internal/dataset"
+	"osars/internal/extract"
 	"osars/internal/model"
 	"osars/internal/ontology"
+	"osars/internal/sentiment"
 )
 
 // randomGraph builds a random pairs-granularity coverage instance.
@@ -94,9 +98,9 @@ func TestGreedyCostMatchesGraphCost(t *testing.T) {
 	}
 }
 
-// Property: the incremental-heap greedy and the rebuild-everything
-// greedy report identical costs (selections may differ only on exact
-// gain ties, but tie-breaking is by candidate id in both).
+// Property: the lazy greedy and the rebuild-everything greedy make the
+// same selections in the same order at the same cost, exact gain ties
+// included (both break ties by the smaller candidate index).
 func TestQuickGreedyMatchesRebuild(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -104,14 +108,48 @@ func TestQuickGreedyMatchesRebuild(t *testing.T) {
 		k := rng.Intn(g.NumCandidates + 1)
 		a := Greedy(g, k)
 		b := GreedyRebuild(g, k)
-		if a.Cost != b.Cost {
-			t.Logf("cost mismatch: %v vs %v (k=%d)", a.Cost, b.Cost, k)
+		if !reflect.DeepEqual(a.Selected, b.Selected) || a.Cost != b.Cost {
+			t.Logf("k=%d: Greedy (%v, %v) vs GreedyRebuild (%v, %v)", k, a.Selected, a.Cost, b.Selected, b.Cost)
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGreedyMatchesRebuildOnDoctorItems runs the same equivalence on
+// annotated doctor items over the synthetic medical ontology, where
+// many candidates share a concept and sentiment and exact gain ties
+// are common — at the smallest, a middle and the largest Table 1 item
+// size, every granularity and k up to 20.
+func TestGreedyMatchesRebuildOnDoctorItems(t *testing.T) {
+	ont := dataset.MedicalOntology(dataset.MedicalOntologyConfig{Seed: 1})
+	metric := model.Metric{Ont: ont, Epsilon: 0.5}
+	pipe := extract.NewPipeline(extract.NewMatcher(ont), sentiment.Lexicon{})
+	for _, n := range []int{43, 120, 354} {
+		cfg := dataset.DoctorConfig(1)
+		cfg.NumItems, cfg.TotalReviews, cfg.MinReviews, cfg.MaxReviews = 1, n, n, n
+		raw := dataset.GenerateWithOntology(cfg, ont).Items[0]
+		raws := make([]extract.RawReview, len(raw.Reviews))
+		for i, r := range raw.Reviews {
+			raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
+		}
+		item := pipe.AnnotateItem(raw.ID, raw.Name, raws)
+		for _, gran := range []model.Granularity{
+			model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
+		} {
+			g := coverage.Build(metric, item, gran)
+			for _, k := range []int{1, 3, 5, 10, 20} {
+				k = min(k, g.NumCandidates)
+				got, want := Greedy(g, k), GreedyRebuild(g, k)
+				if !reflect.DeepEqual(got.Selected, want.Selected) || got.Cost != want.Cost {
+					t.Fatalf("%d reviews/%v/k=%d: Greedy (%v, %v), GreedyRebuild (%v, %v)",
+						n, gran, k, got.Selected, got.Cost, want.Selected, want.Cost)
+				}
+			}
+		}
 	}
 }
 

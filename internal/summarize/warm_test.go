@@ -25,7 +25,8 @@ func requireSameResult(t *testing.T, got, want *Result, label string) {
 
 // TestGreedyWarmMatchesColdOnBatchGraphs checks the identity guarantee
 // on graphs WITHOUT maintained gains (InitGains == nil): GreedyWarm
-// must fall through to the cold key scan and select identically.
+// scans for its initial keys and selects exactly as the
+// rebuild-everything reference does.
 func TestGreedyWarmMatchesColdOnBatchGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
@@ -37,11 +38,12 @@ func TestGreedyWarmMatchesColdOnBatchGraphs(t *testing.T) {
 			if k > g.NumCandidates {
 				continue
 			}
-			cold := Greedy(g, k)
+			cold := GreedyRebuild(g, k)
 			warmRes, _ := GreedyWarm(g, k, nil)
 			requireSameResult(t, warmRes, cold, fmt.Sprintf("trial%d/k=%d", trial, k))
-			// Seeding with the cold result must not change the answer
-			// either, and must report a hit (same graph, same keys).
+			// Seeding with the reference result must not change the
+			// answer either, and must report a hit (same graph, same
+			// keys).
 			seeded, hit := GreedyWarm(g, k, cold)
 			requireSameResult(t, seeded, cold, fmt.Sprintf("trial%d/k=%d/seeded", trial, k))
 			if !hit {
@@ -71,11 +73,11 @@ func warmTestItem(rng *rand.Rand, o *ontology.Ontology, reviews int) *model.Item
 	return item
 }
 
-// TestGreedyWarmMatchesColdOnIndexGraphs is the tentpole guarantee:
+// TestGreedyWarmMatchesColdOnIndexGraphs is the incremental guarantee:
 // over an appending corpus, warm-start greedy on the index-frozen
 // graph (maintained InitGains, previous selection as seed) returns a
-// result identical to cold Greedy on a from-scratch build — at every
-// append step, every granularity, every tested k.
+// result identical to GreedyRebuild on a from-scratch build — at every
+// append step and every granularity.
 func TestGreedyWarmMatchesColdOnIndexGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var b ontology.Builder
@@ -105,7 +107,7 @@ func TestGreedyWarmMatchesColdOnIndexGraphs(t *testing.T) {
 				if k > g.NumCandidates {
 					k = g.NumCandidates
 				}
-				cold := Greedy(coldG, k)
+				cold := GreedyRebuild(coldG, k)
 				warmRes, _ := GreedyWarm(g, k, prev)
 				requireSameResult(t, warmRes, cold,
 					fmt.Sprintf("trial%d/%v/n=%d/k=%d", trial, gran, n, k))

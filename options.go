@@ -1,13 +1,6 @@
 package osars
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
-
-	"osars/internal/coverage"
-	"osars/internal/summarize"
-)
+import "fmt"
 
 // ParseGranularity maps the wire/CLI names to a Granularity:
 // "pairs", "sentences" (also ""), "reviews".
@@ -60,75 +53,5 @@ type Options struct {
 // indices always refer to the item's original pair/sentence/review
 // order (quantized selections are mapped back to representatives).
 func (s *Summarizer) SummarizeWithOptions(item *Item, opt Options) (*Summary, error) {
-	if opt.K < 0 {
-		return nil, fmt.Errorf("osars: k must be nonnegative, got %d", opt.K)
-	}
-	if opt.QuantizeGrid == 0 && opt.RRTrials <= 1 {
-		return s.Summarize(item, opt.K, opt.Granularity, opt.Method)
-	}
-	if opt.QuantizeGrid > 0 && opt.Granularity != Pairs {
-		return nil, fmt.Errorf("osars: QuantizeGrid applies to the pairs granularity only")
-	}
-
-	var graph *coverage.Graph
-	var rep []int
-	if opt.QuantizeGrid > 0 {
-		graph, rep = coverage.BuildPairsQuantized(s.metric, item.Pairs(), opt.QuantizeGrid)
-	} else {
-		graph = coverage.Build(s.metric, item, opt.Granularity)
-	}
-	k := opt.K
-	if k > graph.NumCandidates {
-		k = graph.NumCandidates
-	}
-
-	var res *summarize.Result
-	var err error
-	switch opt.Method {
-	case MethodGreedy:
-		res = summarize.Greedy(graph, k)
-	case MethodRR:
-		trials := opt.RRTrials
-		if trials < 1 {
-			trials = 1
-		}
-		res, err = summarize.RandomizedRoundingBest(graph, k, trials, rand.New(rand.NewSource(s.seed)), nil)
-	case MethodILP:
-		res, err = summarize.ILP(graph, k, nil)
-	case MethodLocalSearch:
-		res = summarize.LocalSearch(graph, k, nil)
-	default:
-		return nil, fmt.Errorf("osars: unknown method %v", opt.Method)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	selected := res.Selected
-	if rep != nil {
-		mapped := make([]int, len(selected))
-		for i, u := range selected {
-			mapped[i] = rep[u]
-		}
-		sort.Ints(mapped)
-		selected = mapped
-	}
-	out := &Summary{Granularity: opt.Granularity, Method: opt.Method, Cost: res.Cost, Indices: selected}
-	switch opt.Granularity {
-	case Pairs:
-		all := item.Pairs()
-		for _, idx := range selected {
-			out.Pairs = append(out.Pairs, all[idx])
-		}
-	case Sentences:
-		texts := sentenceTexts(item)
-		for _, idx := range selected {
-			out.Sentences = append(out.Sentences, texts[idx])
-		}
-	case Reviews:
-		for _, idx := range selected {
-			out.ReviewIDs = append(out.ReviewIDs, item.Reviews[idx].ID)
-		}
-	}
-	return out, nil
+	return s.summarize(s.metric, item, opt)
 }

@@ -23,6 +23,7 @@ package osars
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"osars/internal/coverage"
 	"osars/internal/extract"
@@ -30,6 +31,7 @@ import (
 	"osars/internal/ontology"
 	"osars/internal/ontoreg"
 	"osars/internal/sentiment"
+	"osars/internal/store"
 	"osars/internal/summarize"
 )
 
@@ -63,39 +65,26 @@ const (
 	Reviews = model.GranularityReviews
 )
 
-// Method selects the summarization algorithm (§4).
-type Method int
+// Method selects the summarization algorithm (§4). It is the store's
+// method type, so one value selects the algorithm on the stateless
+// and the stored paths alike.
+type Method = store.Method
 
 // The paper's three algorithms.
 const (
 	// MethodGreedy is Algorithm 2: fast, within a Wolsey-type factor
 	// of optimal (Theorem 4); the paper's recommended default.
-	MethodGreedy Method = iota
+	MethodGreedy = store.MethodGreedy
 	// MethodRR is Algorithm 1: LP relaxation + randomized rounding
 	// (Theorem 3 bound).
-	MethodRR
+	MethodRR = store.MethodRR
 	// MethodILP solves the k-medians integer program exactly.
-	MethodILP
+	MethodILP = store.MethodILP
 	// MethodLocalSearch is an extension beyond the paper: greedy
 	// followed by 1-swap local search (Arya et al. 2004) — never worse
 	// than greedy, usually closing most of its gap to optimal.
-	MethodLocalSearch
+	MethodLocalSearch = store.MethodLocalSearch
 )
-
-func (m Method) String() string {
-	switch m {
-	case MethodGreedy:
-		return "greedy"
-	case MethodRR:
-		return "randomized-rounding"
-	case MethodILP:
-		return "ilp"
-	case MethodLocalSearch:
-		return "local-search"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
 
 // Config configures a Summarizer.
 type Config struct {
@@ -187,12 +176,6 @@ func (s *Summarizer) AnnotateItem(id, name string, reviews []Review) *Item {
 	return s.pipeline.AnnotateItemParallel(id, name, reviews, 0)
 }
 
-// AnnotateItemWorkers is AnnotateItem with an explicit worker count
-// (≤ 0 means GOMAXPROCS, 1 forces sequential annotation).
-func (s *Summarizer) AnnotateItemWorkers(id, name string, reviews []Review, workers int) *Item {
-	return s.pipeline.AnnotateItemParallel(id, name, reviews, workers)
-}
-
 // Summary is a computed review summary.
 type Summary struct {
 	// Granularity the summary was built at.
@@ -218,7 +201,7 @@ type Summary struct {
 // the given granularity. k is clamped to the number of available
 // candidates.
 func (s *Summarizer) Summarize(item *Item, k int, g Granularity, m Method) (*Summary, error) {
-	return summarizeWithMetric(s.metric, s.seed, item, k, g, m)
+	return s.summarize(s.metric, item, Options{K: k, Granularity: g, Method: m})
 }
 
 // AnnotateItemWith is AnnotateItem under an explicit ontology runtime
@@ -233,50 +216,71 @@ func (s *Summarizer) AnnotateItemWith(rt *OntologyRuntime, id, name string, revi
 // annotated under the SAME runtime (its pair ConceptIDs index rt's
 // ontology).
 func (s *Summarizer) SummarizeWith(rt *OntologyRuntime, item *Item, k int, g Granularity, m Method) (*Summary, error) {
-	return summarizeWithMetric(rt.Metric, s.seed, item, k, g, m)
+	return s.summarize(rt.Metric, item, Options{K: k, Granularity: g, Method: m})
 }
 
-// summarizeWithMetric is the metric-parameterized solve shared by
-// Summarize and SummarizeWith.
-func summarizeWithMetric(metric model.Metric, seed int64, item *Item, k int, g Granularity, m Method) (*Summary, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("osars: k must be nonnegative, got %d", k)
+// summarize is the one stateless solve behind Summarize,
+// SummarizeWith and SummarizeWithOptions: build the coverage graph
+// under metric, select, render. Selected indices always refer to the
+// item's original pair/sentence/review order (quantized selections are
+// mapped back to representatives).
+func (s *Summarizer) summarize(metric model.Metric, item *Item, opt Options) (*Summary, error) {
+	if opt.K < 0 {
+		return nil, fmt.Errorf("osars: k must be nonnegative, got %d", opt.K)
 	}
-	graph := coverage.Build(metric, item, g)
-	if k > graph.NumCandidates {
-		k = graph.NumCandidates
+	var graph *coverage.Graph
+	var rep []int
+	if opt.QuantizeGrid > 0 {
+		if opt.Granularity != Pairs {
+			return nil, fmt.Errorf("osars: QuantizeGrid applies to the pairs granularity only")
+		}
+		graph, rep = coverage.BuildPairsQuantized(metric, item.Pairs(), opt.QuantizeGrid)
+	} else {
+		graph = coverage.Build(metric, item, opt.Granularity)
 	}
+	k := min(opt.K, graph.NumCandidates)
+
 	var res *summarize.Result
 	var err error
-	switch m {
+	switch opt.Method {
 	case MethodGreedy:
 		res = summarize.Greedy(graph, k)
 	case MethodRR:
-		res, err = summarize.RandomizedRounding(graph, k, rand.New(rand.NewSource(seed)), nil)
+		res, err = summarize.RandomizedRoundingBest(graph, k, opt.RRTrials, rand.New(rand.NewSource(s.seed)), nil)
 	case MethodILP:
 		res, err = summarize.ILP(graph, k, nil)
 	case MethodLocalSearch:
 		res = summarize.LocalSearch(graph, k, nil)
 	default:
-		return nil, fmt.Errorf("osars: unknown method %v", m)
+		return nil, fmt.Errorf("osars: unknown method %v", opt.Method)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := &Summary{Granularity: g, Method: m, Cost: res.Cost, Indices: res.Selected}
-	switch g {
+
+	selected := res.Selected
+	if rep != nil {
+		mapped := make([]int, len(selected))
+		for i, u := range selected {
+			mapped[i] = rep[u]
+		}
+		sort.Ints(mapped)
+		selected = mapped
+	}
+	out := &Summary{Granularity: opt.Granularity, Method: opt.Method, Cost: res.Cost, Indices: selected}
+	switch opt.Granularity {
 	case Pairs:
 		all := item.Pairs()
-		for _, idx := range res.Selected {
+		for _, idx := range selected {
 			out.Pairs = append(out.Pairs, all[idx])
 		}
 	case Sentences:
 		texts := sentenceTexts(item)
-		for _, idx := range res.Selected {
+		for _, idx := range selected {
 			out.Sentences = append(out.Sentences, texts[idx])
 		}
 	case Reviews:
-		for _, idx := range res.Selected {
+		for _, idx := range selected {
 			out.ReviewIDs = append(out.ReviewIDs, item.Reviews[idx].ID)
 		}
 	}

@@ -30,9 +30,6 @@ type (
 	// misses, solves, evictions, resident bytes, WAL position, and —
 	// for sharded stores — the per-shard breakdown).
 	StoreStats = store.Stats
-	// StoredMethod is the Store-level algorithm selector; convert from
-	// the root Method with StoreMethod.
-	StoredMethod = store.Method
 	// FsyncPolicy selects when a durable Store forces its write-ahead
 	// log to stable storage: FsyncAlways, FsyncInterval or FsyncNever.
 	FsyncPolicy = store.FsyncPolicy
@@ -69,7 +66,7 @@ type Store interface {
 	Len() int
 	// Summary returns the k-unit summary of the item's current corpus;
 	// cached reports whether it was answered without a new solve.
-	Summary(id string, k int, g Granularity, m StoredMethod) (*StoredSummary, bool, error)
+	Summary(id string, k int, g Granularity, m Method) (*StoredSummary, bool, error)
 	// Delete removes an item and purges its cached summaries.
 	Delete(id string) (bool, error)
 	// Stats returns the store-level counters.
@@ -140,12 +137,6 @@ type StoreOptions struct {
 	// across shards.
 	MaxCacheBytes int64
 
-	// DisableCoverageIndex turns off the per-item incremental coverage
-	// index that makes append→summarize O(delta): every summary solve
-	// rebuilds the coverage graph from scratch (the pre-index
-	// behavior). Mainly for benchmarks and incident bisection.
-	DisableCoverageIndex bool
-
 	// Shards partitions the corpus across this many independent
 	// stores (default/≤1: a single partition). Each shard owns its own
 	// lock, generation counter, summary-cache slice and — in durable
@@ -198,10 +189,6 @@ type StoreOptions struct {
 // Summarizer's ontology, metric, extraction pipeline and RNG seed.
 // For a durable store (StoreOptions.DataDir) use OpenStore, which can
 // report recovery I/O errors; NewStore panics on them.
-//
-// Store methods take the StoredMethod type; convert from the root
-// Method with StoreMethod, or use the string names via ParseMethod on
-// the wire.
 func (s *Summarizer) NewStore(opts StoreOptions) Store {
 	st, err := s.OpenStore(opts)
 	if err != nil {
@@ -223,20 +210,19 @@ func (s *Summarizer) NewStore(opts StoreOptions) Store {
 // snapshots.
 func (s *Summarizer) OpenStore(opts StoreOptions) (Store, error) {
 	cfg := store.Config{
-		Metric:               s.metric,
-		Pipeline:             s.pipeline,
-		Runtime:              s.rt,
-		Seed:                 s.seed,
-		MaxCacheEntries:      opts.MaxCacheEntries,
-		MaxCacheBytes:        opts.MaxCacheBytes,
-		DisableCoverageIndex: opts.DisableCoverageIndex,
-		DataDir:              opts.DataDir,
-		Fsync:                opts.Fsync,
-		FsyncInterval:        opts.FsyncInterval,
-		SnapshotEvery:        opts.SnapshotEvery,
-		SegmentBytes:         opts.WALSegmentBytes,
-		Replica:              opts.Replica,
-		Obs:                  opts.Metrics,
+		Metric:          s.metric,
+		Pipeline:        s.pipeline,
+		Runtime:         s.rt,
+		Seed:            s.seed,
+		MaxCacheEntries: opts.MaxCacheEntries,
+		MaxCacheBytes:   opts.MaxCacheBytes,
+		DataDir:         opts.DataDir,
+		Fsync:           opts.Fsync,
+		FsyncInterval:   opts.FsyncInterval,
+		SnapshotEvery:   opts.SnapshotEvery,
+		SegmentBytes:    opts.WALSegmentBytes,
+		Replica:         opts.Replica,
+		Obs:             opts.Metrics,
 	}
 	if opts.Shards > 1 {
 		return shard.New(shard.Config{
@@ -246,32 +232,6 @@ func (s *Summarizer) OpenStore(opts StoreOptions) (Store, error) {
 		})
 	}
 	return store.New(cfg)
-}
-
-// StoreMethod converts a root Method to the Store's method type.
-func StoreMethod(m Method) (StoredMethod, error) {
-	switch m {
-	case MethodGreedy:
-		return store.MethodGreedy, nil
-	case MethodRR:
-		return store.MethodRR, nil
-	case MethodILP:
-		return store.MethodILP, nil
-	case MethodLocalSearch:
-		return store.MethodLocalSearch, nil
-	default:
-		return 0, fmt.Errorf("osars: unknown method %v", m)
-	}
-}
-
-// SummarizeStored is a convenience wrapper: it summarizes a stored
-// item using the root package's Method type.
-func SummarizeStored(st Store, id string, k int, g Granularity, m Method) (*StoredSummary, bool, error) {
-	sm, err := StoreMethod(m)
-	if err != nil {
-		return nil, false, err
-	}
-	return st.Summary(id, k, g, sm)
 }
 
 // StoredBatchRequest asks for one stored item's summary inside
@@ -321,7 +281,7 @@ func SummarizeStoredBatchCtx(ctx context.Context, st Store, reqs []StoredBatchRe
 					results[i] = StoredBatchResult{Err: err}
 					continue
 				}
-				sum, cached, err := SummarizeStored(st, reqs[i].ID, reqs[i].K, reqs[i].Granularity, reqs[i].Method)
+				sum, cached, err := st.Summary(reqs[i].ID, reqs[i].K, reqs[i].Granularity, reqs[i].Method)
 				results[i] = StoredBatchResult{Summary: sum, Cached: cached, Err: err}
 			}
 		}()

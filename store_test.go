@@ -31,17 +31,17 @@ func TestStoreRoundTrip(t *testing.T) {
 	if stats.NumReviews != 3 || stats.NumPairs == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	sum, cached, err := SummarizeStored(st, "p1", 2, Sentences, MethodGreedy)
+	sum, cached, err := st.Summary("p1", 2, Sentences, MethodGreedy)
 	if err != nil || cached {
 		t.Fatalf("first read: cached=%v err=%v", cached, err)
 	}
 	if len(sum.Sentences) != 2 || sum.Generation != stats.Generation {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if _, cached, _ = SummarizeStored(st, "p1", 2, Sentences, MethodGreedy); !cached {
+	if _, cached, _ = st.Summary("p1", 2, Sentences, MethodGreedy); !cached {
 		t.Fatal("second read not cached")
 	}
-	if _, _, err := SummarizeStored(st, "zzz", 2, Sentences, MethodGreedy); !errors.Is(err, ErrItemNotFound) {
+	if _, _, err := st.Summary("zzz", 2, Sentences, MethodGreedy); !errors.Is(err, ErrItemNotFound) {
 		t.Fatalf("missing item err = %v", err)
 	}
 	if deleted, err := st.Delete("p1"); !deleted || err != nil || st.Len() != 0 {
@@ -65,7 +65,7 @@ func TestStoreMatchesStateless(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := SummarizeStored(st, "p1", 2, g, m)
+			got, _, err := st.Summary("p1", 2, g, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,17 +79,20 @@ func TestStoreMatchesStateless(t *testing.T) {
 	}
 }
 
-func TestStoreMethodConversion(t *testing.T) {
-	for _, m := range []Method{MethodGreedy, MethodRR, MethodILP, MethodLocalSearch} {
-		sm, err := StoreMethod(m)
-		if err != nil {
+// TestStoreRejectsUnknownMethod: the stored path validates the method
+// like the stateless one, on single-partition and sharded stores.
+func TestStoreRejectsUnknownMethod(t *testing.T) {
+	s, err := New(Config{Ontology: dataset.CellPhoneOntology()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		st := s.NewStore(StoreOptions{Shards: shards})
+		if _, err := st.AppendReviews("p1", "Acme", storeReviews); err != nil {
 			t.Fatal(err)
 		}
-		if sm.String() != m.String() {
-			t.Fatalf("name drift: %v vs %v", sm, m)
+		if _, _, err := st.Summary("p1", 2, Sentences, Method(99)); err == nil {
+			t.Fatalf("shards=%d: unknown method accepted", shards)
 		}
-	}
-	if _, err := StoreMethod(Method(99)); err == nil {
-		t.Fatal("bad method accepted")
 	}
 }

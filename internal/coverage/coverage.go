@@ -65,25 +65,30 @@ type Graph struct {
 	fwdPair []int32
 	fwdDist []int32
 
-	bwdIdx  []int32 // len len(Pairs)+1
-	bwdCand []int32
-	bwdDist []int32
+	// Backward CSR. Graphs the incremental Index froze (index.go) start
+	// without it and build it once, on first use (buildBackward), from
+	// their candidate groups: candidate u's pairs are
+	// Pairs[candStart[u]:candStart[u+1]]. Batch builders fill it
+	// directly and leave candStart nil.
+	bwdIdx    []int32 // len len(Pairs)+1
+	bwdCand   []int32
+	bwdDist   []int32
+	bwdOnce   sync.Once
+	candStart []int32
 
-	// Row-backed adjacency, the alternative representation set by the
-	// incremental Index's Freeze (index.go): one slice per candidate /
-	// per pair instead of the flat CSR block. Freezing then costs O(|U| +
-	// |W|) slice-header copies instead of an O(|E|) array rebuild — the
-	// rows alias the index's append-only storage (capacity-capped, so
-	// later merges reallocate rather than write through). Row contents
-	// and order are identical to the CSR rows Build produces; every
-	// accessor branches on rowBacked, so the two representations are
+	// Row-backed forward adjacency, the alternative representation set
+	// by the incremental Index's Freeze: one slice per candidate instead
+	// of the flat CSR block. Freezing then costs O(|U|) slice-header
+	// copies instead of an O(|E|) array rebuild — the rows alias the
+	// index's append-only storage (capacity-capped, so later merges
+	// reallocate rather than write through). Row contents and order are
+	// identical to the CSR rows Build produces; the forward accessors
+	// branch on rowBacked, so the two representations are
 	// indistinguishable through the API.
 	rowBacked  bool
 	rowEdges   int
 	rowFwdPair [][]int32 // per candidate: covered pair indices, ascending
 	rowFwdDist [][]int32
-	rowBwdCand [][]int32 // per pair: covering candidates, closure order
-	rowBwdDist [][]int32
 
 	// initGains, when non-nil, is the warm-start seed maintained by the
 	// incremental Index (index.go): initGains[u] = Σ_w max(0,
@@ -158,13 +163,34 @@ func (g *Graph) CoveredRow(u int) (pairs, dists []int32) {
 
 // CoverersRow returns the backward row of pair w: the candidate
 // indices covering it and the matching distances. The slices alias the
-// graph's storage and must not be modified.
+// graph's storage and must not be modified. On a graph an Index froze,
+// the first backward read builds the backward CSR.
 func (g *Graph) CoverersRow(w int) (cands, dists []int32) {
-	if g.rowBacked {
-		return g.rowBwdCand[w], g.rowBwdDist[w]
+	idx, cand, dist := g.backward()
+	lo, hi := idx[w], idx[w+1]
+	return cand[lo:hi], dist[lo:hi]
+}
+
+// backward returns the backward CSR, building it first if need be.
+func (g *Graph) backward() (idx, cand, dist []int32) {
+	g.bwdOnce.Do(g.buildBackward)
+	return g.bwdIdx, g.bwdCand, g.bwdDist
+}
+
+// buildBackward fills the backward CSR of a graph an Index froze, which
+// carries forward rows only. It runs the batch builder over the
+// graph's own candidate groups, so the rows and their order are
+// Build's by construction. Batch-built graphs already have the CSR.
+func (g *Graph) buildBackward() {
+	if g.bwdIdx != nil {
+		return
 	}
-	lo, hi := g.bwdIdx[w], g.bwdIdx[w+1]
-	return g.bwdCand[lo:hi], g.bwdDist[lo:hi]
+	groups := make([][]model.Pair, g.NumCandidates)
+	for u := range groups {
+		groups[u] = g.Pairs[g.candStart[u]:g.candStart[u+1]]
+	}
+	b := buildClosure(g.Metric, groups, g.Pairs, g.Weight)
+	g.bwdIdx, g.bwdCand, g.bwdDist = b.bwdIdx, b.bwdCand, b.bwdDist
 }
 
 // CostScratch holds reusable state for CostOfWith so that repeated
@@ -210,12 +236,12 @@ func (g *Graph) CostOf(selected []int) float64 {
 func (g *Graph) CostOfWith(s *CostScratch, selected []int) float64 {
 	gen := s.mark(g.NumCandidates, selected)
 	stamp := s.stamp
+	idx, cand, dist := g.backward()
 	total := 0
 	for w := range g.Pairs {
 		best := g.RootDist[w]
-		cands, dists := g.CoverersRow(w)
-		for i := range cands {
-			if d := dists[i]; d < best && stamp[cands[i]] == gen {
+		for i := idx[w]; i < idx[w+1]; i++ {
+			if d := dist[i]; d < best && stamp[cand[i]] == gen {
 				best = d
 			}
 		}
@@ -254,8 +280,8 @@ type builder struct {
 	weight  []int32 // nil → all ones
 	numCand int
 	// per-target edge lists
-	edgeCand [][]int32
-	edgeDist [][]int32
+	targetCand [][]int32
+	targetDist [][]int32
 }
 
 // BuildPairs constructs the coverage graph for k-Pairs Coverage:
@@ -558,11 +584,11 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 // production code paths use the closure-based builder.
 func BuildGroupsWalker(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
 	b := builder{
-		metric:   m,
-		pairs:    pairs,
-		numCand:  len(groups),
-		edgeCand: make([][]int32, len(pairs)),
-		edgeDist: make([][]int32, len(pairs)),
+		metric:     m,
+		pairs:      pairs,
+		numCand:    len(groups),
+		targetCand: make([][]int32, len(pairs)),
+		targetDist: make([][]int32, len(pairs)),
 	}
 	fillEdges(&b, groups)
 	return b.finish()
@@ -619,8 +645,8 @@ func fillEdges(b *builder, groups [][]model.Pair) {
 					}
 				}
 				stamp[e.cand] = w32
-				b.edgeCand[w] = append(b.edgeCand[w], e.cand)
-				b.edgeDist[w] = append(b.edgeDist[w], int32(dist))
+				b.targetCand[w] = append(b.targetCand[w], e.cand)
+				b.targetDist[w] = append(b.targetDist[w], int32(dist))
 			}
 			return true
 		})
@@ -647,25 +673,25 @@ func (b *builder) finish() *Graph {
 	}
 
 	total := 0
-	for w := range b.edgeCand {
-		total += len(b.edgeCand[w])
+	for w := range b.targetCand {
+		total += len(b.targetCand[w])
 	}
 
 	// Backward CSR: straight copy of the per-target lists.
 	g.bwdIdx = make([]int32, len(b.pairs)+1)
 	g.bwdCand = make([]int32, 0, total)
 	g.bwdDist = make([]int32, 0, total)
-	for w := range b.edgeCand {
+	for w := range b.targetCand {
 		g.bwdIdx[w] = int32(len(g.bwdCand))
-		g.bwdCand = append(g.bwdCand, b.edgeCand[w]...)
-		g.bwdDist = append(g.bwdDist, b.edgeDist[w]...)
+		g.bwdCand = append(g.bwdCand, b.targetCand[w]...)
+		g.bwdDist = append(g.bwdDist, b.targetDist[w]...)
 	}
 	g.bwdIdx[len(b.pairs)] = int32(len(g.bwdCand))
 
 	// Forward CSR: counting sort of the same edges by candidate.
 	counts := make([]int32, b.numCand+1)
-	for w := range b.edgeCand {
-		for _, u := range b.edgeCand[w] {
+	for w := range b.targetCand {
+		for _, u := range b.targetCand[w] {
 			counts[u+1]++
 		}
 	}
@@ -676,12 +702,12 @@ func (b *builder) finish() *Graph {
 	g.fwdPair = make([]int32, total)
 	g.fwdDist = make([]int32, total)
 	next := make([]int32, b.numCand)
-	for w := range b.edgeCand {
-		for i, u := range b.edgeCand[w] {
+	for w := range b.targetCand {
+		for i, u := range b.targetCand[w] {
 			pos := g.fwdIdx[u] + next[u]
 			next[u]++
 			g.fwdPair[pos] = int32(w)
-			g.fwdDist[pos] = b.edgeDist[w][i]
+			g.fwdDist[pos] = b.targetDist[w][i]
 		}
 	}
 	return g
@@ -693,11 +719,11 @@ func (b *builder) finish() *Graph {
 // the ablation benchmark (DESIGN.md ablation 2).
 func BuildPairsNaive(m model.Metric, pairs []model.Pair) *Graph {
 	b := builder{
-		metric:   m,
-		pairs:    pairs,
-		numCand:  len(pairs),
-		edgeCand: make([][]int32, len(pairs)),
-		edgeDist: make([][]int32, len(pairs)),
+		metric:     m,
+		pairs:      pairs,
+		numCand:    len(pairs),
+		targetCand: make([][]int32, len(pairs)),
+		targetDist: make([][]int32, len(pairs)),
 	}
 	for w, target := range pairs {
 		type edge struct{ cand, dist int32 }
@@ -711,8 +737,8 @@ func BuildPairsNaive(m model.Metric, pairs []model.Pair) *Graph {
 		// two builders produce comparable graphs.
 		sort.SliceStable(edges, func(i, j int) bool { return edges[i].dist < edges[j].dist })
 		for _, e := range edges {
-			b.edgeCand[w] = append(b.edgeCand[w], e.cand)
-			b.edgeDist[w] = append(b.edgeDist[w], e.dist)
+			b.targetCand[w] = append(b.targetCand[w], e.cand)
+			b.targetDist[w] = append(b.targetDist[w], e.dist)
 		}
 	}
 	return b.finish()

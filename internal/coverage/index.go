@@ -14,20 +14,20 @@
 //   - existing candidates never gain occurrences (a review's pair set
 //     is immutable), so the dedup/emission decisions of every old edge
 //     are unchanged;
-//   - the rebuilt edge row of an old target is therefore the old row
-//     with the new-tail edges spliced in, ordered by the ancestor's
-//     position in the target's closure row (old entries sort before new
-//     ones at equal positions, because within one bucket the old
-//     occurrences precede the tail).
+//   - an old target therefore gains exactly the edges a scan of the
+//     new bucket tails finds, all of them from new candidates.
 //
 // Merge applies exactly that: it appends the delta's occurrences,
 // re-probes ONLY the dirty bucket tails for the affected old targets
 // (found through the ontology's descendant sets, not a corpus scan),
-// and runs the normal closure scan for the delta's own targets. Freeze
-// hands out a row-backed Graph whose adjacency aliases the index's own
-// per-row storage — O(|U| + |W|) slice-header copies, not an O(|E|)
-// CSR rebuild — with the same per-row edge order as buildClosure; the
-// equivalence tests fuzz row-identity against Build from scratch.
+// and runs the normal closure scan for the delta's own targets. Each
+// edge found goes straight into its candidate's forward row, the only
+// adjacency the greedy reads. Freeze hands out a Graph whose forward
+// rows alias the index's own storage — O(|U|) slice headers, not an
+// O(|E|) CSR rebuild — and whose backward CSR the batch builder fills
+// only if a reader asks for it (Graph.buildBackward). The equivalence
+// tests fuzz row identity against Build from scratch in both
+// directions.
 //
 // The index also maintains each candidate's initial greedy gain
 // Σ_w max(0, RootDist[w] − d(u,w)) as it merges, so a frozen graph
@@ -61,25 +61,15 @@ type Index struct {
 	pairs    []model.Pair
 	rootDist []int32
 	ones     []int32 // all-ones Weight backing
+	// candStart[u] is where candidate u's group starts in pairs: its
+	// pairs are pairs[candStart[u]:candStart[u+1]] (len numCand+1).
+	candStart []int32
 
-	// Per-concept occurrence buckets, in global candidate scan order
-	// (pass 1 of §4.1, kept live instead of rebuilt per solve).
-	bucketCand [][]int32
-	bucketSent [][]float64
-
-	// targetsByConcept[c] lists the pair indices whose concept is c, so
-	// a merge finds the old targets affected by a dirty concept through
-	// Descendants(c) instead of scanning the whole multiset.
-	targetsByConcept [][]int32
-
-	// Per-target edge rows in buildClosure emission order
-	// (ancestor-major, bucket-position-minor). edgeAnc records each
-	// edge's position in the target's ancestor closure row — the sort
-	// key that lets a merge splice new tail edges into an old row.
-	edgeCand [][]int32
-	edgeDist [][]int32
-	edgeAnc  [][]int32
-	numEdges int
+	// slot[c] is 1 + the position of concept c's state in concepts, or
+	// 0 when the item does not mention c. It is the only per-ontology-
+	// concept array; everything else grows with the item.
+	slot     []int32
+	concepts []conceptState
 
 	// Per-candidate forward rows (candidate → covered targets,
 	// ascending target order — the same order as buildClosure's forward
@@ -89,44 +79,51 @@ type Index struct {
 	// in-place tail appends preserve the sort. New candidates
 	// additionally receive old targets out of order during the patch
 	// phase; mergeLocked sorts that prefix once at the end.
-	fwdPair [][]int32
-	fwdDist [][]int32
+	fwdPair  [][]int32
+	fwdDist  [][]int32
+	numEdges int
 
 	// gain[u] = Σ_w max(0, rootDist[w] − d(u,w)): the candidate's
 	// initial greedy key, maintained edge by edge.
 	gain []int64
 
 	// Dedup scratch (candidate stamps per target scan, target stamps
-	// per merge) and the per-merge dirty-bucket bookkeeping.
-	stamp     []uint32
-	gen       uint32
-	tStamp    []uint32
-	tGen      uint32
-	dirtyFrom []int32 // pre-merge bucket length, valid while dirtyMark
-	dirtyMark []bool
-	dirty     []ontology.ConceptID
-	pendCand  []int32 // patch scratch: pending new edges of one target
-	pendDist  []int32
-	pendAnc   []int32
+	// per merge) and the concepts whose buckets this merge extended.
+	stamp  []uint32
+	gen    uint32
+	tStamp []uint32
+	tGen   uint32
+	dirty  []ontology.ConceptID
 
 	// Memoized Freeze: valid while no merge has run since.
-	frozen        *Graph
-	frozenReviews int
+	frozen *Graph
+}
+
+// conceptState is the index's state for one concept the item mentions.
+type conceptState struct {
+	// Occurrence bucket in global candidate scan order (pass 1 of
+	// §4.1, kept live instead of rebuilt per solve).
+	cand []int32
+	sent []float64
+	// targets lists the pair indices whose concept this is, ascending,
+	// so a merge finds the old targets under a dirty concept through
+	// its descendants instead of scanning the whole multiset.
+	targets []int32
+	// tail is the bucket length before the current merge, so the
+	// merge's new occurrences are cand[tail:]; between merges it equals
+	// len(cand).
+	tail int32
 }
 
 // NewIndex returns an empty index for the metric and granularity. The
 // ontology is pinned: after a hot-swap the store discards the index
 // (annotations change too) rather than migrating it.
 func NewIndex(m model.Metric, g model.Granularity) *Index {
-	n := m.Ont.Len()
 	return &Index{
-		metric:           m,
-		gran:             g,
-		bucketCand:       make([][]int32, n),
-		bucketSent:       make([][]float64, n),
-		targetsByConcept: make([][]int32, n),
-		dirtyFrom:        make([]int32, n),
-		dirtyMark:        make([]bool, n),
+		metric:    m,
+		gran:      g,
+		candStart: []int32{0},
+		slot:      make([]int32, m.Ont.Len()),
 	}
 }
 
@@ -164,7 +161,7 @@ func (x *Index) Advance(item *model.Item) {
 
 // Freeze converts the index into an immutable Graph whose rows are
 // identical to Build from scratch over the merged corpus. The copy is
-// O(|U| + |W|) slice headers (the rows themselves are aliased, see
+// O(|U|) slice headers (the rows themselves are aliased, see
 // freezeLocked) and the result is memoized until the next merge.
 func (x *Index) Freeze() *Graph {
 	x.mu.Lock()
@@ -215,33 +212,44 @@ func (x *Index) nextTargetGenLocked() uint32 {
 	return x.tGen
 }
 
-// addOccurrenceLocked files one candidate-pair occurrence: the W-side
-// append-only arrays, the target row placeholder, the concept bucket
-// tail and the dirty bookkeeping.
-func (x *Index) addOccurrenceLocked(u int, p model.Pair) {
-	ont := x.metric.Ont
+// addOccurrenceLocked files one occurrence of pair p in the open
+// candidate (index numCand): the W-side append-only arrays and the
+// concept's bucket tail, targets and dirty mark.
+func (x *Index) addOccurrenceLocked(p model.Pair) {
 	w := len(x.pairs)
 	x.pairs = append(x.pairs, p)
-	x.rootDist = append(x.rootDist, int32(ont.Depth(p.Concept)))
+	x.rootDist = append(x.rootDist, int32(x.metric.Ont.Depth(p.Concept)))
 	x.ones = append(x.ones, 1)
-	x.targetsByConcept[p.Concept] = append(x.targetsByConcept[p.Concept], int32(w))
-	x.edgeCand = append(x.edgeCand, nil)
-	x.edgeDist = append(x.edgeDist, nil)
-	x.edgeAnc = append(x.edgeAnc, nil)
-	if !x.dirtyMark[p.Concept] {
-		x.dirtyMark[p.Concept] = true
-		x.dirtyFrom[p.Concept] = int32(len(x.bucketCand[p.Concept]))
+	s := x.slot[p.Concept]
+	if s == 0 {
+		x.concepts = append(x.concepts, conceptState{})
+		s = int32(len(x.concepts))
+		x.slot[p.Concept] = s
+	}
+	b := &x.concepts[s-1]
+	if int(b.tail) == len(b.cand) {
 		x.dirty = append(x.dirty, p.Concept)
 	}
-	x.bucketCand[p.Concept] = append(x.bucketCand[p.Concept], int32(u))
-	x.bucketSent[p.Concept] = append(x.bucketSent[p.Concept], p.Sentiment)
+	b.cand = append(b.cand, int32(x.numCand))
+	b.sent = append(b.sent, p.Sentiment)
+	b.targets = append(b.targets, int32(w))
+}
+
+// closeCandidateLocked ends the open candidate's group at the current
+// end of pairs and gives it an empty forward row.
+func (x *Index) closeCandidateLocked() {
+	x.numCand++
+	x.candStart = append(x.candStart, int32(len(x.pairs)))
+	x.fwdPair = append(x.fwdPair, nil)
+	x.fwdDist = append(x.fwdDist, nil)
+	x.gain = append(x.gain, 0)
 }
 
 // mergeLocked is the three-phase merge: (A) append the delta's
-// candidates and occurrences, (B) splice the dirty bucket tails into
-// the affected OLD targets' rows, (C) run the full closure scan for
-// the delta's NEW targets. Phase order mirrors the batch builder's two
-// passes: all occurrences land before any target scans.
+// candidates and occurrences, (B) probe the dirty bucket tails for the
+// affected OLD targets, (C) run the full closure scan for the delta's
+// NEW targets. Phase order mirrors the batch builder's two passes: all
+// occurrences land before any target scans.
 func (x *Index) mergeLocked(reviews []model.Review) {
 	ont := x.metric.Ont
 	oldPairs := len(x.pairs)
@@ -249,45 +257,23 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 
 	// Phase A: extend U and the buckets in the same scan order the
 	// batch builder's counting sort produces (candidates ascending,
-	// pairs within a group in order).
-	switch x.gran {
-	case model.GranularityPairs:
-		for ri := range reviews {
-			for si := range reviews[ri].Sentences {
-				for _, p := range reviews[ri].Sentences[si].Pairs {
-					u := x.numCand
-					x.numCand++
-					x.addOccurrenceLocked(u, p)
+	// pairs within a group in order). A candidate is one pair, one
+	// sentence or one review.
+	for ri := range reviews {
+		for si := range reviews[ri].Sentences {
+			for _, p := range reviews[ri].Sentences[si].Pairs {
+				x.addOccurrenceLocked(p)
+				if x.gran == model.GranularityPairs {
+					x.closeCandidateLocked()
 				}
 			}
-		}
-	case model.GranularitySentences:
-		for ri := range reviews {
-			for si := range reviews[ri].Sentences {
-				u := x.numCand
-				x.numCand++
-				for _, p := range reviews[ri].Sentences[si].Pairs {
-					x.addOccurrenceLocked(u, p)
-				}
+			if x.gran == model.GranularitySentences {
+				x.closeCandidateLocked()
 			}
 		}
-	case model.GranularityReviews:
-		for ri := range reviews {
-			u := x.numCand
-			x.numCand++
-			for si := range reviews[ri].Sentences {
-				for _, p := range reviews[ri].Sentences[si].Pairs {
-					x.addOccurrenceLocked(u, p)
-				}
-			}
+		if x.gran == model.GranularityReviews {
+			x.closeCandidateLocked()
 		}
-	}
-	for len(x.gain) < x.numCand {
-		x.gain = append(x.gain, 0)
-	}
-	for len(x.fwdPair) < x.numCand {
-		x.fwdPair = append(x.fwdPair, nil)
-		x.fwdDist = append(x.fwdDist, nil)
 	}
 	if cap(x.stamp) < x.numCand {
 		grown := make([]uint32, x.numCand)
@@ -308,12 +294,18 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 	tgen := x.nextTargetGenLocked()
 	for _, c := range x.dirty {
 		for _, dc := range ont.Descendants(c) {
-			for _, t := range x.targetsByConcept[dc] {
-				if int(t) >= oldPairs || x.tStamp[t] == tgen {
-					continue
+			s := x.slot[dc]
+			if s == 0 {
+				continue
+			}
+			for _, t := range x.concepts[s-1].targets {
+				if int(t) >= oldPairs {
+					break
 				}
-				x.tStamp[t] = tgen
-				x.patchTargetLocked(int(t))
+				if x.tStamp[t] != tgen {
+					x.tStamp[t] = tgen
+					x.scanTargetLocked(int(t), true)
+				}
 			}
 		}
 	}
@@ -321,7 +313,7 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 	// Phase C: the delta's own targets scan the now-complete buckets
 	// exactly like the batch builder's second pass.
 	for w := oldPairs; w < len(x.pairs); w++ {
-		x.scanNewTargetLocked(w)
+		x.scanTargetLocked(w, false)
 	}
 
 	// New candidates received their OLD-target edges during phase B in
@@ -341,7 +333,8 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 	}
 
 	for _, c := range x.dirty {
-		x.dirtyMark[c] = false
+		b := &x.concepts[x.slot[c]-1]
+		b.tail = int32(len(b.cand))
 	}
 	x.dirty = x.dirty[:0]
 	x.numReviews += len(reviews)
@@ -360,34 +353,39 @@ func (s fwdRowSorter) Swap(i, j int) {
 	s.d[i], s.d[j] = s.d[j], s.d[i]
 }
 
-// patchTargetLocked re-probes only the dirty bucket TAILS for one old
-// target and splices any new edges into its row by ancestor position.
-// Old candidates never appear in a tail, so the old row's dedup
-// decisions stand; new candidates dedup among themselves in the same
-// ancestor-major order the batch scan uses.
-func (x *Index) patchTargetLocked(w int) {
+// scanTargetLocked runs the batch builder's per-target closure scan for
+// pair w and appends each edge it finds to the candidate's forward row
+// and gain. tailsOnly probes only this merge's bucket tails, which is
+// all an OLD target can gain: old candidates never appear in a tail, so
+// the old edges' dedup decisions stand, and new candidates dedup among
+// themselves in the same ancestor-major order the batch scan uses.
+func (x *Index) scanTargetLocked(w int, tailsOnly bool) {
 	ont := x.metric.Ont
 	root := ont.Root()
 	eps := x.metric.Epsilon
 	target := &x.pairs[w]
+	rd := x.rootDist[w]
 	gen := x.nextGenLocked()
 	ids, dists := ont.Ancestors(target.Concept)
-	pc, pd, pa := x.pendCand[:0], x.pendDist[:0], x.pendAnc[:0]
 	for ai, anc := range ids {
-		if !x.dirtyMark[anc] {
+		s := x.slot[anc]
+		if s == 0 {
 			continue
 		}
+		b := &x.concepts[s-1]
+		bi := 0
+		if tailsOnly {
+			bi = int(b.tail)
+		}
 		isRoot := anc == root
 		d := dists[ai]
-		bc := x.bucketCand[anc]
-		bs := x.bucketSent[anc]
-		for bi := int(x.dirtyFrom[anc]); bi < len(bc); bi++ {
-			cand := bc[bi]
+		for ; bi < len(b.cand); bi++ {
+			cand := b.cand[bi]
 			if x.stamp[cand] == gen {
 				continue
 			}
 			if !isRoot {
-				diff := bs[bi] - target.Sentiment
+				diff := b.sent[bi] - target.Sentiment
 				if diff < 0 {
 					diff = -diff
 				}
@@ -396,109 +394,27 @@ func (x *Index) patchTargetLocked(w int) {
 				}
 			}
 			x.stamp[cand] = gen
-			pc = append(pc, cand)
-			pd = append(pd, d)
-			pa = append(pa, int32(ai))
-		}
-	}
-	x.pendCand, x.pendDist, x.pendAnc = pc, pd, pa
-	if len(pc) == 0 {
-		return
-	}
-
-	// Stable splice by ancestor position, old edges first at equal
-	// positions (their bucket occurrences precede the tail). Fresh row
-	// allocation keeps previously frozen graphs' rows untouched.
-	oc, od, oa := x.edgeCand[w], x.edgeDist[w], x.edgeAnc[w]
-	nc := make([]int32, 0, len(oc)+len(pc))
-	nd := make([]int32, 0, len(oc)+len(pc))
-	na := make([]int32, 0, len(oc)+len(pc))
-	i, j := 0, 0
-	for i < len(oc) && j < len(pc) {
-		if oa[i] <= pa[j] {
-			nc, nd, na = append(nc, oc[i]), append(nd, od[i]), append(na, oa[i])
-			i++
-		} else {
-			nc, nd, na = append(nc, pc[j]), append(nd, pd[j]), append(na, pa[j])
-			j++
-		}
-	}
-	nc = append(append(nc, oc[i:]...), pc[j:]...)
-	nd = append(append(nd, od[i:]...), pd[j:]...)
-	na = append(append(na, oa[i:]...), pa[j:]...)
-	x.edgeCand[w], x.edgeDist[w], x.edgeAnc[w] = nc, nd, na
-	x.numEdges += len(pc)
-	rd := x.rootDist[w]
-	for j := range pc {
-		x.fwdPair[pc[j]] = append(x.fwdPair[pc[j]], int32(w))
-		x.fwdDist[pc[j]] = append(x.fwdDist[pc[j]], pd[j])
-		if diff := rd - pd[j]; diff > 0 {
-			x.gain[pc[j]] += int64(diff)
-		}
-	}
-}
-
-// scanNewTargetLocked runs the batch builder's per-target closure scan
-// for one of the delta's pairs, over the full (old + tail) buckets.
-func (x *Index) scanNewTargetLocked(w int) {
-	ont := x.metric.Ont
-	root := ont.Root()
-	eps := x.metric.Epsilon
-	target := &x.pairs[w]
-	gen := x.nextGenLocked()
-	ids, dists := ont.Ancestors(target.Concept)
-	var ec, ed, ea []int32
-	rd := x.rootDist[w]
-	for ai, anc := range ids {
-		isRoot := anc == root
-		d := dists[ai]
-		bc := x.bucketCand[anc]
-		bs := x.bucketSent[anc]
-		for bi := range bc {
-			cand := bc[bi]
-			if x.stamp[cand] == gen {
-				continue
-			}
-			if !isRoot {
-				diff := bs[bi] - target.Sentiment
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff > eps {
-					continue
-				}
-			}
-			x.stamp[cand] = gen
-			ec = append(ec, cand)
-			ed = append(ed, d)
-			ea = append(ea, int32(ai))
 			x.fwdPair[cand] = append(x.fwdPair[cand], int32(w))
 			x.fwdDist[cand] = append(x.fwdDist[cand], d)
 			if diff := rd - d; diff > 0 {
 				x.gain[cand] += int64(diff)
 			}
+			x.numEdges++
 		}
 	}
-	x.edgeCand[w], x.edgeDist[w], x.edgeAnc[w] = ec, ed, ea
-	x.numEdges += len(ec)
 }
 
-// freezeLocked materializes a row-backed Graph in O(|U| + |W|): both
-// adjacency directions hand out per-row slice headers over the index's
-// storage instead of rebuilding a CSR over every edge. Aliasing is
-// safe because merges never mutate a row a frozen graph can see:
+// freezeLocked materializes a row-backed Graph in O(|U|): the forward
+// rows are slice headers over the index's storage, and the backward
+// CSR is left to Graph.buildBackward, on first use. Aliasing is safe
+// because merges only ever append: the W-side arrays and candStart are
+// handed out as capacity-capped prefixes, and so is each forward row —
+// an in-cap append by a later merge lands beyond the frozen length, an
+// over-cap append reallocates.
 //
-//   - backward rows are never appended in place (patchTargetLocked
-//     allocates a fresh spliced row and swaps the OUTER slice element),
-//     so the outer slices are copied per freeze and the inner rows
-//     shared;
-//   - forward rows ARE appended in place, so each frozen alias is
-//     capacity-capped — an in-cap append by a later merge lands beyond
-//     the frozen length, an over-cap append reallocates.
-//
-// Row contents and order match buildClosure's CSR exactly (backward:
-// ancestor-major emission order; forward: ascending target), which the
-// equivalence tests fuzz via the accessor-level row comparison.
+// Forward row contents and order match buildClosure's CSR exactly
+// (ascending target), which the equivalence tests fuzz via the
+// accessor-level row comparison.
 func (x *Index) freezeLocked() *Graph {
 	if x.frozen != nil {
 		return x.frozen
@@ -511,6 +427,12 @@ func (x *Index) freezeLocked() *Graph {
 		RootDist:      x.rootDist[:np:np],
 		Weight:        x.ones[:np:np],
 		NumCandidates: nc,
+		candStart:     x.candStart[: nc+1 : nc+1],
+		rowBacked:     true,
+		rowEdges:      x.numEdges,
+		rowFwdPair:    make([][]int32, nc),
+		rowFwdDist:    make([][]int32, nc),
+		initGains:     make([]int64, nc),
 	}
 	// Build from scratch returns non-nil (empty) RootDist/Weight even
 	// for a pairless corpus; match that shape exactly.
@@ -520,25 +442,13 @@ func (x *Index) freezeLocked() *Graph {
 	if g.Weight == nil {
 		g.Weight = make([]int32, 0)
 	}
-
-	g.rowBacked = true
-	g.rowEdges = x.numEdges
-	g.rowBwdCand = make([][]int32, np)
-	copy(g.rowBwdCand, x.edgeCand)
-	g.rowBwdDist = make([][]int32, np)
-	copy(g.rowBwdDist, x.edgeDist)
-	g.rowFwdPair = make([][]int32, nc)
-	g.rowFwdDist = make([][]int32, nc)
 	for u := 0; u < nc; u++ {
 		r := x.fwdPair[u]
 		g.rowFwdPair[u] = r[:len(r):len(r)]
 		d := x.fwdDist[u]
 		g.rowFwdDist[u] = d[:len(d):len(d)]
 	}
-
-	g.initGains = make([]int64, nc)
 	copy(g.initGains, x.gain)
 	x.frozen = g
-	x.frozenReviews = x.numReviews
 	return g
 }

@@ -3,6 +3,8 @@ package coverage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"osars/internal/model"
@@ -223,5 +225,124 @@ func TestIndexFrozenGraphsImmutable(t *testing.T) {
 	}
 	if got := snap.CostOf([]int{0}); got != costBefore {
 		t.Fatalf("frozen graph CostOf changed after a later merge: %v → %v", costBefore, got)
+	}
+}
+
+// requireBackwardUntouched asserts a frozen graph has not built its
+// lazy backward CSR yet, so the next backward read is its first.
+func requireBackwardUntouched(t *testing.T, g *Graph, label string) {
+	t.Helper()
+	if g.bwdIdx != nil {
+		t.Fatalf("%s: frozen graph built its backward CSR before any backward read", label)
+	}
+}
+
+// TestIndexBackwardFirstTouchAfterMerges reads a frozen graph's
+// backward rows for the first time only after later merges have
+// extended the index underneath it: the lazily built rows must still be
+// those of Build over the older prefix, at every granularity.
+func TestIndexBackwardFirstTouchAfterMerges(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < 12; trial++ {
+		o := randomDAG(t, rng, 3+rng.Intn(15))
+		m := model.Metric{Ont: o, Epsilon: []float64{0.1, 0.3, 1.0}[trial%3]}
+		item := randomItem(rng, o, 2+rng.Intn(10))
+		cut := 1 + rng.Intn(len(item.Reviews)-1)
+		prefix := &model.Item{ID: item.ID, Reviews: item.Reviews[:cut]}
+		for _, g := range allGranularities {
+			lbl := fmt.Sprintf("trial%d/%v/cut%d", trial, g, cut)
+			idx := NewIndex(m, g)
+			idx.Merge(item.Reviews[:cut])
+			old := idx.Freeze()
+			for done := cut; done < len(item.Reviews); done++ {
+				idx.Merge(item.Reviews[done : done+1])
+				idx.Freeze()
+			}
+			requireBackwardUntouched(t, old, lbl)
+			requireGraphsEqual(t, old, Build(m, prefix, g), lbl)
+		}
+	}
+}
+
+// TestIndexBackwardConcurrentFirstTouch races eight readers into the
+// lazy backward build of one fresh frozen graph (run it under -race):
+// every reader must see Build's rows and Build's costs.
+func TestIndexBackwardConcurrentFirstTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	o := randomDAG(t, rng, 20)
+	m := model.Metric{Ont: o, Epsilon: 0.3}
+	item := randomItem(rng, o, 30)
+	for _, g := range allGranularities {
+		idx := NewIndex(m, g)
+		idx.Merge(item.Reviews[:10])
+		idx.Merge(item.Reviews[10:])
+		got := idx.Freeze()
+		want := Build(m, item, g)
+		requireBackwardUntouched(t, got, g.String())
+		sel := []int{0, got.NumCandidates / 2, got.NumCandidates - 1}
+		wantCost := want.CostOf(sel)
+
+		var wg sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for w := range got.Pairs {
+					gc, gd := got.CoverersRow(w)
+					wc, wd := want.CoverersRow(w)
+					if !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gd, wd) {
+						t.Errorf("%v/reader%d: coverers of pair %d differ", g, r, w)
+						return
+					}
+				}
+				if c := got.CostOf(sel); c != wantCost {
+					t.Errorf("%v/reader%d: CostOf(%v) = %v, want %v", g, r, sel, c, wantCost)
+				}
+			}(r)
+		}
+		wg.Wait()
+	}
+}
+
+// TestIndexFrozenForwardOnly pins that the forward accessors the greedy
+// uses never trigger the lazy backward build.
+func TestIndexFrozenForwardOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	o := randomDAG(t, rng, 12)
+	m := model.Metric{Ont: o, Epsilon: 0.5}
+	item := randomItem(rng, o, 10)
+	for _, g := range allGranularities {
+		idx := NewIndex(m, g)
+		idx.Merge(item.Reviews)
+		frozen := idx.Freeze()
+		for u := 0; u < frozen.NumCandidates; u++ {
+			frozen.CoveredRow(u)
+			frozen.Degree(u)
+		}
+		frozen.NumEdges()
+		frozen.InitGains()
+		requireBackwardUntouched(t, frozen, g.String())
+	}
+}
+
+var sinkIndex *Index
+
+// TestNewIndexMemoryPerConcept pins an empty index's ontology-sized
+// state to one int32 per concept. The runtime accounts for an
+// allocation above 32 KiB in whole 8 KiB heap pages, so the bound is
+// the slot array's size rounded up to a page, plus 1 KiB for the rest.
+func TestNewIndexMemoryPerConcept(t *testing.T) {
+	o := randomDAG(t, rand.New(rand.NewSource(5)), 50000)
+	m := model.Metric{Ont: o, Epsilon: 0.5}
+	const page = 8 << 10
+	limit := int64((4*o.Len()+page-1)/page*page + 1024)
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkIndex = NewIndex(m, model.GranularitySentences)
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got > limit {
+		t.Fatalf("NewIndex allocates %d B over %d concepts (%.1f B/concept), want <= %d",
+			got, o.Len(), float64(got)/float64(o.Len()), limit)
 	}
 }

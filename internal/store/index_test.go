@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -95,6 +96,72 @@ func TestIndexedSummariesMatchCold(t *testing.T) {
 	}
 	if st.IndexWarmHits == 0 {
 		t.Fatalf("repeated same-k solves over appends never hit warm-start: %+v", st)
+	}
+}
+
+// coldMethodSummary is coldSummary for the methods that read backward
+// rows: the same algorithm, with the given randomized-rounding seed,
+// over a from-scratch coverage.Build of the snapshot.
+func coldMethodSummary(t *testing.T, rt *ontoreg.Runtime, item *model.Item, k int, g model.Granularity, m Method, seed int64) *Summary {
+	t.Helper()
+	graph := coverage.Build(rt.Metric, item, g)
+	k = min(k, graph.NumCandidates)
+	var res *summarize.Result
+	var err error
+	switch m {
+	case MethodRR:
+		res, err = summarize.RandomizedRounding(graph, k, rand.New(rand.NewSource(seed)), nil)
+	case MethodILP:
+		res, err = summarize.ILP(graph, k, nil)
+	case MethodLocalSearch:
+		res = summarize.LocalSearch(graph, k, nil)
+	default:
+		t.Fatalf("coldMethodSummary: unsupported method %v", m)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newSummary(rt, item, 0, k, g, m, len(graph.Pairs), res)
+}
+
+// TestIndexedBackwardMethodsMatchCold extends the store-level
+// equivalence check to the methods that read backward rows (RR, ILP,
+// local search), which make an index-frozen graph build its backward
+// CSR lazily: with appends interleaved between solves, each indexed
+// summary must equal the same algorithm over Build of the snapshot.
+func TestIndexedBackwardMethodsMatchCold(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxCacheEntries = -1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := s.ActiveRuntime()
+
+	raws := manyPhoneReviews(8)
+	grans := []model.Granularity{
+		model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
+	}
+	for i := range raws {
+		if _, err := s.AppendReviews("p1", "Acme", raws[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		item, _, _ := s.Item("p1")
+		for _, g := range grans {
+			for _, m := range []Method{MethodRR, MethodILP, MethodLocalSearch} {
+				for _, k := range []int{2, 5} {
+					got, _, err := s.Summary("p1", k, g, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameSummary(t, got, coldMethodSummary(t, rt, item, k, g, m, s.seed),
+						fmt.Sprintf("n=%d/%v/%v/k=%d", i+1, g, m, k))
+				}
+			}
+		}
+	}
+	if st := s.Stats(); st.IndexMerges == 0 || st.IndexRebuilds == 0 {
+		t.Fatalf("solves did not go through the index: %+v", st)
 	}
 }
 

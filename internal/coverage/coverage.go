@@ -2,11 +2,15 @@
 // three summarization algorithms (paper §4.1), producing the
 // edge-weighted bipartite coverage graph G = (U, W, E).
 //
-// W is always the multiset P of concept-sentiment pairs to be covered.
-// U is the candidate set: the pairs themselves for k-Pairs Coverage, or
-// the sentences / whole reviews for k-Reviews/Sentences Coverage
-// (§4.5). An edge (u, w) with weight d means candidate u covers pair w
-// at Definition-1 distance d.
+// W is the set of distinct (concept, sentiment) pairs of the multiset P
+// to be covered, each weighted by how many pairs of P it stands for:
+// identical pairs have identical coverers, distances and root
+// distances, so one weighted target prices them all and every cost is
+// the multiset's. U is the candidate set: the pairs themselves for
+// k-Pairs Coverage, or the sentences / whole reviews for
+// k-Reviews/Sentences Coverage (§4.5); candidates are never merged. An
+// edge (u, w) with weight d means candidate u covers target w at
+// Definition-1 distance d.
 //
 // The graph is built exactly as the paper describes: a first pass
 // buckets candidate pairs by concept; a second pass iterates, for each
@@ -48,15 +52,16 @@ import (
 // concept), so C(F, P) is computable from the graph alone.
 type Graph struct {
 	Metric model.Metric
-	// Pairs is W: the multiset of pairs to cover, in input order.
+	// Pairs is W: the distinct pairs to cover, in order of first
+	// occurrence in P.
 	Pairs []model.Pair
 	// RootDist[w] is d(r, Pairs[w].Concept): the cost of leaving pair
 	// w to the implicit root.
 	RootDist []int32
-	// Weight[w] is the multiplicity of pair w. Plain builders set every
-	// weight to 1; BuildPairsQuantized merges duplicate pairs and
-	// records how many originals each unique pair stands for. All cost
-	// computations multiply by it.
+	// Weight[w] is how many pairs of P target w stands for, so
+	// Σ Weight = |P|. BuildPairsQuantized also merges pairs whose
+	// sentiments snap to the same grid point. All cost computations
+	// multiply by it.
 	Weight []int32
 	// NumCandidates is |U|.
 	NumCandidates int
@@ -68,12 +73,14 @@ type Graph struct {
 	// Backward CSR. Graphs the incremental Index froze (index.go) start
 	// without it and build it once, on first use (buildBackward), from
 	// their candidate groups: candidate u's pairs are
-	// Pairs[candStart[u]:candStart[u+1]]. Batch builders fill it
-	// directly and leave candStart nil.
+	// occ[candStart[u]:candStart[u+1]], occ being every pair of P in
+	// candidate order. Batch builders fill it directly and leave occ and
+	// candStart nil.
 	bwdIdx    []int32 // len len(Pairs)+1
 	bwdCand   []int32
 	bwdDist   []int32
 	bwdOnce   sync.Once
+	occ       []model.Pair
 	candStart []int32
 
 	// Row-backed forward adjacency, the alternative representation set
@@ -187,7 +194,7 @@ func (g *Graph) buildBackward() {
 	}
 	groups := make([][]model.Pair, g.NumCandidates)
 	for u := range groups {
-		groups[u] = g.Pairs[g.candStart[u]:g.candStart[u+1]]
+		groups[u] = g.occ[g.candStart[u]:g.candStart[u+1]]
 	}
 	b := buildClosure(g.Metric, groups, g.Pairs, g.Weight)
 	g.bwdIdx, g.bwdCand, g.bwdDist = b.bwdIdx, b.bwdCand, b.bwdDist
@@ -276,31 +283,68 @@ type bucketEntry struct {
 // conversion.
 type builder struct {
 	metric  model.Metric
-	pairs   []model.Pair
-	weight  []int32 // nil → all ones
+	pairs   []model.Pair // the distinct targets
+	weight  []int32      // nil → all ones
 	numCand int
 	// per-target edge lists
 	targetCand [][]int32
 	targetDist [][]int32
 }
 
-// BuildPairs constructs the coverage graph for k-Pairs Coverage:
-// U = W = P, and candidate i is the pair P[i] itself.
+// BuildPairs constructs the coverage graph for k-Pairs Coverage: U = P,
+// candidate i is the pair P[i] itself, and W is P's distinct pairs.
 func BuildPairs(m model.Metric, pairs []model.Pair) *Graph {
+	return BuildGroups(m, pairGroups(pairs), pairs)
+}
+
+// pairGroups makes each pair its own candidate group.
+func pairGroups(pairs []model.Pair) [][]model.Pair {
 	groups := make([][]model.Pair, len(pairs))
 	for i := range pairs {
 		groups[i] = pairs[i : i+1]
 	}
-	return build(m, groups, pairs)
+	return groups
 }
 
 // BuildGroups constructs the coverage graph for k-Reviews/Sentences
 // Coverage (§4.5): candidate u is the pair-set groups[u] (one sentence
-// or one whole review), and W is the given pair multiset (normally the
-// concatenation of all groups). The edge weight from a group to a pair
-// is the minimum Definition-1 distance over the group's pairs.
+// or one whole review), and W is the distinct pairs of the given
+// multiset (normally the concatenation of all groups). The edge weight
+// from a group to a pair is the minimum Definition-1 distance over the
+// group's pairs.
 func BuildGroups(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
-	return build(m, groups, pairs)
+	targets, weight := dedupTargets(pairs)
+	return buildClosure(m, groups, targets, weight)
+}
+
+// targetKey identifies a target: pairs with equal keys are covered by
+// the same candidates at the same distances.
+type targetKey struct {
+	concept   ontology.ConceptID
+	sentiment float64
+}
+
+// dedupTargets returns the distinct pairs of the multiset in order of
+// first occurrence, each with the number of pairs it stands for. An
+// empty multiset gives nil targets.
+func dedupTargets(pairs []model.Pair) (targets []model.Pair, weight []int32) {
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+	at := make(map[targetKey]int32, len(pairs))
+	targets = make([]model.Pair, 0, len(pairs))
+	weight = make([]int32, 0, len(pairs))
+	for _, p := range pairs {
+		k := targetKey{p.Concept, p.Sentiment}
+		if w, ok := at[k]; ok {
+			weight[w]++
+			continue
+		}
+		at[k] = int32(len(targets))
+		targets = append(targets, p)
+		weight = append(weight, 1)
+	}
+	return targets, weight
 }
 
 // SentenceGroups flattens an item into per-sentence pair groups plus
@@ -344,10 +388,6 @@ func Build(m model.Metric, item *model.Item, g model.Granularity) *Graph {
 	default:
 		panic(fmt.Sprintf("coverage: unknown granularity %v", g))
 	}
-}
-
-func build(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
-	return buildClosure(m, groups, pairs, nil)
 }
 
 // buildScratch is the pooled transient state of buildClosure. Every
@@ -583,12 +623,14 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 // lists. Kept for the ablation benchmark and the equivalence tests;
 // production code paths use the closure-based builder.
 func BuildGroupsWalker(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
+	targets, weight := dedupTargets(pairs)
 	b := builder{
 		metric:     m,
-		pairs:      pairs,
+		pairs:      targets,
+		weight:     weight,
 		numCand:    len(groups),
-		targetCand: make([][]int32, len(pairs)),
-		targetDist: make([][]int32, len(pairs)),
+		targetCand: make([][]int32, len(targets)),
+		targetDist: make([][]int32, len(targets)),
 	}
 	fillEdges(&b, groups)
 	return b.finish()
@@ -596,11 +638,7 @@ func BuildGroupsWalker(m model.Metric, groups [][]model.Pair, pairs []model.Pair
 
 // BuildPairsWalker is BuildPairs through the walker reference builder.
 func BuildPairsWalker(m model.Metric, pairs []model.Pair) *Graph {
-	groups := make([][]model.Pair, len(pairs))
-	for i := range pairs {
-		groups[i] = pairs[i : i+1]
-	}
-	return BuildGroupsWalker(m, groups, pairs)
+	return BuildGroupsWalker(m, pairGroups(pairs), pairs)
 }
 
 // fillEdges runs the two §4.1 passes, populating the per-target edge
@@ -718,14 +756,16 @@ func (b *builder) finish() *Graph {
 // of using the bucket + ancestor-walk passes. Used only by tests and
 // the ablation benchmark (DESIGN.md ablation 2).
 func BuildPairsNaive(m model.Metric, pairs []model.Pair) *Graph {
+	targets, weight := dedupTargets(pairs)
 	b := builder{
 		metric:     m,
-		pairs:      pairs,
+		pairs:      targets,
+		weight:     weight,
 		numCand:    len(pairs),
-		targetCand: make([][]int32, len(pairs)),
-		targetDist: make([][]int32, len(pairs)),
+		targetCand: make([][]int32, len(targets)),
+		targetDist: make([][]int32, len(targets)),
 	}
-	for w, target := range pairs {
+	for w, target := range targets {
 		type edge struct{ cand, dist int32 }
 		var edges []edge
 		for u, cand := range pairs {

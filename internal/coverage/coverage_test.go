@@ -1,8 +1,10 @@
 package coverage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -323,6 +325,91 @@ func TestQuickGroupCostMatchesMetric(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireDistinctTargets checks a graph's targets against the multiset
+// P they were built from: pairwise distinct, in order of first
+// occurrence in P, weights summing to |P|, and each target repeated
+// Weight times gives back P.
+func requireDistinctTargets(g *Graph, P []model.Pair) error {
+	for i := range g.Pairs {
+		for j := i + 1; j < len(g.Pairs); j++ {
+			if g.Pairs[i] == g.Pairs[j] {
+				return fmt.Errorf("targets %d and %d are both %v", i, j, g.Pairs[i])
+			}
+		}
+	}
+	last := -1
+	for w, p := range g.Pairs {
+		first := 0
+		for first < len(P) && P[first] != p {
+			first++
+		}
+		if first <= last {
+			return fmt.Errorf("target %d first occurs at %d, before target %d's first occurrence %d", w, first, w-1, last)
+		}
+		last = first
+	}
+	var expanded []model.Pair
+	for w, p := range g.Pairs {
+		for i := int32(0); i < g.Weight[w]; i++ {
+			expanded = append(expanded, p)
+		}
+	}
+	if len(expanded) != len(P) {
+		return fmt.Errorf("weights sum to %d, want |P| = %d", len(expanded), len(P))
+	}
+	sorted := append([]model.Pair(nil), P...)
+	for _, s := range [][]model.Pair{expanded, sorted} {
+		sort.Slice(s, func(i, j int) bool {
+			if s[i].Concept != s[j].Concept {
+				return s[i].Concept < s[j].Concept
+			}
+			return s[i].Sentiment < s[j].Sentiment
+		})
+	}
+	for i := range sorted {
+		if expanded[i] != sorted[i] {
+			return fmt.Errorf("targets expanded by weight differ from P at sorted position %d: %v vs %v", i, expanded[i], sorted[i])
+		}
+	}
+	return nil
+}
+
+// Property: every plain builder's targets are P's distinct pairs in
+// first-occurrence order, weighted by their multiplicity in P.
+func TestQuickBuildTargetsDistinctWeighted(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m, P := randomPairsInstance(rng)
+		// Repeat some pairs so most instances have duplicates.
+		for i := rng.Intn(len(P) + 1); i > 0; i-- {
+			P = append(P, P[rng.Intn(len(P))])
+		}
+		rng.Shuffle(len(P), func(i, j int) { P[i], P[j] = P[j], P[i] })
+		var groups [][]model.Pair
+		for i := 0; i < len(P); {
+			j := min(i+1+rng.Intn(3), len(P))
+			groups = append(groups, P[i:j])
+			i = j
+		}
+		for name, g := range map[string]*Graph{
+			"BuildPairs":        BuildPairs(m, P),
+			"BuildGroups":       BuildGroups(m, groups, P),
+			"BuildPairsWalker":  BuildPairsWalker(m, P),
+			"BuildGroupsWalker": BuildGroupsWalker(m, groups, P),
+			"BuildPairsNaive":   BuildPairsNaive(m, P),
+		} {
+			if err := requireDistinctTargets(g, P); err != nil {
+				t.Logf("seed %d, %s: %v", seed, name, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

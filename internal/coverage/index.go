@@ -29,10 +29,16 @@
 // tests fuzz row identity against Build from scratch in both
 // directions.
 //
+// Targets are deduplicated exactly as Build does: an occurrence whose
+// (concept, sentiment) is already a target only raises that target's
+// weight. A raised OLD target keeps its edges, but each old coverer's
+// gain grows with the weight, so the merge rescans the old part of the
+// target's buckets to credit them (no new edges can come from there).
+//
 // The index also maintains each candidate's initial greedy gain
-// Σ_w max(0, RootDist[w] − d(u,w)) as it merges, so a frozen graph
-// carries the warm-start seed (Graph.InitGains) and GreedyWarm can
-// skip the O(|E|) key-initialization scan.
+// Σ_w Weight[w]·max(0, RootDist[w] − d(u,w)) as it merges, so a frozen
+// graph carries the warm-start seed (Graph.InitGains) and GreedyWarm
+// can skip the O(|E|) key-initialization scan.
 package coverage
 
 import (
@@ -56,13 +62,16 @@ type Index struct {
 	numReviews int // reviews merged so far
 	numCand    int // |U|
 
-	// Append-only parallels of the Graph's W arrays. Frozen graphs
-	// alias prefixes of these; merges only ever append past them.
+	// The Graph's W arrays: the distinct targets in first-occurrence
+	// order. pairs and rootDist are append-only, so frozen graphs alias
+	// prefixes of them; weight changes in place when a duplicate
+	// arrives, so Freeze copies it.
 	pairs    []model.Pair
 	rootDist []int32
-	ones     []int32 // all-ones Weight backing
-	// candStart[u] is where candidate u's group starts in pairs: its
-	// pairs are pairs[candStart[u]:candStart[u+1]] (len numCand+1).
+	weight   []int32
+	// occ is every pair occurrence in candidate order; candidate u's
+	// group is occ[candStart[u]:candStart[u+1]] (len numCand+1).
+	occ       []model.Pair
 	candStart []int32
 
 	// slot[c] is 1 + the position of concept c's state in concepts, or
@@ -83,17 +92,19 @@ type Index struct {
 	fwdDist  [][]int32
 	numEdges int
 
-	// gain[u] = Σ_w max(0, rootDist[w] − d(u,w)): the candidate's
-	// initial greedy key, maintained edge by edge.
+	// gain[u] = Σ_w weight[w]·max(0, rootDist[w] − d(u,w)): the
+	// candidate's initial greedy key, maintained edge by edge.
 	gain []int64
 
 	// Dedup scratch (candidate stamps per target scan, target stamps
-	// per merge) and the concepts whose buckets this merge extended.
+	// per merge), the concepts whose buckets this merge extended, and
+	// the old targets whose weight it raised.
 	stamp  []uint32
 	gen    uint32
 	tStamp []uint32
 	tGen   uint32
 	dirty  []ontology.ConceptID
+	bumped []targetBump
 
 	// Memoized Freeze: valid while no merge has run since.
 	frozen *Graph
@@ -105,14 +116,22 @@ type conceptState struct {
 	// §4.1, kept live instead of rebuilt per solve).
 	cand []int32
 	sent []float64
-	// targets lists the pair indices whose concept this is, ascending,
-	// so a merge finds the old targets under a dirty concept through
-	// its descendants instead of scanning the whole multiset.
+	// targets lists the target indices whose concept this is,
+	// ascending, so a merge finds the old targets under a dirty concept
+	// through its descendants instead of scanning every target, and an
+	// occurrence finds its target by sentiment. A concept has few
+	// distinct sentiments (at most 20 on a 1,000-review doctor item).
 	targets []int32
 	// tail is the bucket length before the current merge, so the
 	// merge's new occurrences are cand[tail:]; between merges it equals
 	// len(cand).
 	tail int32
+}
+
+// targetBump records an old target whose weight a merge raised, with
+// its weight before the merge.
+type targetBump struct {
+	w, before int32
 }
 
 // NewIndex returns an empty index for the metric and granularity. The
@@ -213,13 +232,12 @@ func (x *Index) nextTargetGenLocked() uint32 {
 }
 
 // addOccurrenceLocked files one occurrence of pair p in the open
-// candidate (index numCand): the W-side append-only arrays and the
-// concept's bucket tail, targets and dirty mark.
-func (x *Index) addOccurrenceLocked(p model.Pair) {
-	w := len(x.pairs)
-	x.pairs = append(x.pairs, p)
-	x.rootDist = append(x.rootDist, int32(x.metric.Ont.Depth(p.Concept)))
-	x.ones = append(x.ones, 1)
+// candidate (index numCand): occ, the concept's bucket tail and dirty
+// mark, and either a new target or a raised weight. Targets below
+// oldTargets predate the merge; bumpGen stamps the ones already
+// recorded in bumped.
+func (x *Index) addOccurrenceLocked(p model.Pair, oldTargets int, bumpGen uint32) {
+	x.occ = append(x.occ, p)
 	s := x.slot[p.Concept]
 	if s == 0 {
 		x.concepts = append(x.concepts, conceptState{})
@@ -232,37 +250,56 @@ func (x *Index) addOccurrenceLocked(p model.Pair) {
 	}
 	b.cand = append(b.cand, int32(x.numCand))
 	b.sent = append(b.sent, p.Sentiment)
-	b.targets = append(b.targets, int32(w))
+
+	for _, w := range b.targets {
+		if x.pairs[w].Sentiment != p.Sentiment {
+			continue
+		}
+		if int(w) < oldTargets && x.tStamp[w] != bumpGen {
+			x.tStamp[w] = bumpGen
+			x.bumped = append(x.bumped, targetBump{w: w, before: x.weight[w]})
+		}
+		x.weight[w]++
+		return
+	}
+	w := int32(len(x.pairs))
+	x.pairs = append(x.pairs, p)
+	x.rootDist = append(x.rootDist, int32(x.metric.Ont.Depth(p.Concept)))
+	x.weight = append(x.weight, 1)
+	b.targets = append(b.targets, w)
 }
 
 // closeCandidateLocked ends the open candidate's group at the current
-// end of pairs and gives it an empty forward row.
+// end of occ and gives it an empty forward row.
 func (x *Index) closeCandidateLocked() {
 	x.numCand++
-	x.candStart = append(x.candStart, int32(len(x.pairs)))
+	x.candStart = append(x.candStart, int32(len(x.occ)))
 	x.fwdPair = append(x.fwdPair, nil)
 	x.fwdDist = append(x.fwdDist, nil)
 	x.gain = append(x.gain, 0)
 }
 
-// mergeLocked is the three-phase merge: (A) append the delta's
-// candidates and occurrences, (B) probe the dirty bucket tails for the
-// affected OLD targets, (C) run the full closure scan for the delta's
-// NEW targets. Phase order mirrors the batch builder's two passes: all
-// occurrences land before any target scans.
+// mergeLocked is the merge: (A) append the delta's candidates and
+// occurrences, adding targets or raising old ones' weights, then credit
+// the raised weights to the old coverers, (B) probe the dirty bucket
+// tails for the affected OLD targets, (C) run the full closure scan for
+// the delta's NEW targets. Phase order mirrors the batch builder's two
+// passes: all occurrences land before any target scans.
 func (x *Index) mergeLocked(reviews []model.Review) {
 	ont := x.metric.Ont
-	oldPairs := len(x.pairs)
+	oldTargets := len(x.pairs)
 	oldCand := x.numCand
 
 	// Phase A: extend U and the buckets in the same scan order the
 	// batch builder's counting sort produces (candidates ascending,
 	// pairs within a group in order). A candidate is one pair, one
-	// sentence or one review.
+	// sentence or one review. Targets keep first-occurrence order,
+	// Build's dedup order.
+	bumpGen := x.nextTargetGenLocked()
 	for ri := range reviews {
 		for si := range reviews[ri].Sentences {
 			for _, p := range reviews[ri].Sentences[si].Pairs {
-				x.addOccurrenceLocked(p)
+				x.addOccurrenceLocked(p, oldTargets, bumpGen)
 				if x.gran == model.GranularityPairs {
 					x.closeCandidateLocked()
 				}
@@ -288,6 +325,14 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 	}
 	x.tStamp = x.tStamp[:len(x.pairs)]
 
+	// A raised old target's existing coverers all sit in the part of
+	// its buckets that predates the merge; credit each the added
+	// weight's saving. Its new coverers come in phase B, at full weight.
+	for _, bp := range x.bumped {
+		x.scanTargetLocked(int(bp.w), bucketHeads, int64(x.weight[bp.w]-bp.before))
+	}
+	x.bumped = x.bumped[:0]
+
 	// Phase B: every old target whose concept descends from a dirty
 	// concept may gain edges from that bucket's tail. Descendant sets
 	// bound the work by the delta's concepts, not the corpus size.
@@ -299,12 +344,12 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 				continue
 			}
 			for _, t := range x.concepts[s-1].targets {
-				if int(t) >= oldPairs {
+				if int(t) >= oldTargets {
 					break
 				}
 				if x.tStamp[t] != tgen {
 					x.tStamp[t] = tgen
-					x.scanTargetLocked(int(t), true)
+					x.scanTargetLocked(int(t), bucketTails, int64(x.weight[t]))
 				}
 			}
 		}
@@ -312,19 +357,19 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 
 	// Phase C: the delta's own targets scan the now-complete buckets
 	// exactly like the batch builder's second pass.
-	for w := oldPairs; w < len(x.pairs); w++ {
-		x.scanTargetLocked(w, false)
+	for w := oldTargets; w < len(x.pairs); w++ {
+		x.scanTargetLocked(w, wholeBuckets, int64(x.weight[w]))
 	}
 
 	// New candidates received their OLD-target edges during phase B in
 	// dirty-concept order, not target order; restore the ascending-target
-	// invariant by sorting that prefix (everything < oldPairs — phase C's
-	// new targets arrived after it, already ascending). Old candidates
-	// only gained ascending new targets and need nothing.
+	// invariant by sorting that prefix (everything < oldTargets — phase
+	// C's new targets arrived after it, already ascending). Old
+	// candidates only gained ascending new targets and need nothing.
 	for u := oldCand; u < x.numCand; u++ {
 		row := x.fwdPair[u]
 		split := 0
-		for split < len(row) && row[split] < int32(oldPairs) {
+		for split < len(row) && row[split] < int32(oldTargets) {
 			split++
 		}
 		if split > 1 {
@@ -353,13 +398,29 @@ func (s fwdRowSorter) Swap(i, j int) {
 	s.d[i], s.d[j] = s.d[j], s.d[i]
 }
 
+// bucketRange selects the part of each bucket a target scan probes.
+type bucketRange uint8
+
+const (
+	// wholeBuckets probes every occurrence: a new target's full scan.
+	wholeBuckets bucketRange = iota
+	// bucketTails probes this merge's occurrences, which is all an OLD
+	// target can gain edges from: old candidates never appear in a
+	// tail, so the old edges' dedup decisions stand, and new
+	// candidates dedup among themselves in the same ancestor-major
+	// order the batch scan uses.
+	bucketTails
+	// bucketHeads probes the occurrences that predate this merge: an
+	// old target's existing coverers, whose gains a raised weight
+	// changes. It adds no edges.
+	bucketHeads
+)
+
 // scanTargetLocked runs the batch builder's per-target closure scan for
-// pair w and appends each edge it finds to the candidate's forward row
-// and gain. tailsOnly probes only this merge's bucket tails, which is
-// all an OLD target can gain: old candidates never appear in a tail, so
-// the old edges' dedup decisions stand, and new candidates dedup among
-// themselves in the same ancestor-major order the batch scan uses.
-func (x *Index) scanTargetLocked(w int, tailsOnly bool) {
+// target w over the given bucket range, adding weight·max(0,
+// rootDist−d) to the gain of each coverer it finds and, except over
+// bucketHeads, appending the edge to the coverer's forward row.
+func (x *Index) scanTargetLocked(w int, r bucketRange, weight int64) {
 	ont := x.metric.Ont
 	root := ont.Root()
 	eps := x.metric.Epsilon
@@ -373,13 +434,16 @@ func (x *Index) scanTargetLocked(w int, tailsOnly bool) {
 			continue
 		}
 		b := &x.concepts[s-1]
-		bi := 0
-		if tailsOnly {
-			bi = int(b.tail)
+		lo, hi := 0, len(b.cand)
+		switch r {
+		case bucketTails:
+			lo = int(b.tail)
+		case bucketHeads:
+			hi = int(b.tail)
 		}
 		isRoot := anc == root
 		d := dists[ai]
-		for ; bi < len(b.cand); bi++ {
+		for bi := lo; bi < hi; bi++ {
 			cand := b.cand[bi]
 			if x.stamp[cand] == gen {
 				continue
@@ -394,23 +458,27 @@ func (x *Index) scanTargetLocked(w int, tailsOnly bool) {
 				}
 			}
 			x.stamp[cand] = gen
+			if diff := rd - d; diff > 0 {
+				x.gain[cand] += weight * int64(diff)
+			}
+			if r == bucketHeads {
+				continue
+			}
 			x.fwdPair[cand] = append(x.fwdPair[cand], int32(w))
 			x.fwdDist[cand] = append(x.fwdDist[cand], d)
-			if diff := rd - d; diff > 0 {
-				x.gain[cand] += int64(diff)
-			}
 			x.numEdges++
 		}
 	}
 }
 
-// freezeLocked materializes a row-backed Graph in O(|U|): the forward
-// rows are slice headers over the index's storage, and the backward
-// CSR is left to Graph.buildBackward, on first use. Aliasing is safe
-// because merges only ever append: the W-side arrays and candStart are
-// handed out as capacity-capped prefixes, and so is each forward row —
-// an in-cap append by a later merge lands beyond the frozen length, an
-// over-cap append reallocates.
+// freezeLocked materializes a row-backed Graph in O(|U|+|W|): the
+// forward rows are slice headers over the index's storage, and the
+// backward CSR is left to Graph.buildBackward, on first use. Aliasing
+// is safe because those arrays only ever grow by appends: pairs,
+// rootDist, occ and candStart are handed out as capacity-capped
+// prefixes, and so is each forward row — an in-cap append by a later
+// merge lands beyond the frozen length, an over-cap append reallocates.
+// weight is copied, since merges raise it in place.
 //
 // Forward row contents and order match buildClosure's CSR exactly
 // (ascending target), which the equivalence tests fuzz via the
@@ -419,14 +487,16 @@ func (x *Index) freezeLocked() *Graph {
 	if x.frozen != nil {
 		return x.frozen
 	}
-	np := len(x.pairs)
+	nt := len(x.pairs)
+	no := len(x.occ)
 	nc := x.numCand
 	g := &Graph{
 		Metric:        x.metric,
-		Pairs:         x.pairs[:np:np],
-		RootDist:      x.rootDist[:np:np],
-		Weight:        x.ones[:np:np],
+		Pairs:         x.pairs[:nt:nt],
+		RootDist:      x.rootDist[:nt:nt],
+		Weight:        append(make([]int32, 0, nt), x.weight...),
 		NumCandidates: nc,
+		occ:           x.occ[:no:no],
 		candStart:     x.candStart[: nc+1 : nc+1],
 		rowBacked:     true,
 		rowEdges:      x.numEdges,
@@ -434,13 +504,10 @@ func (x *Index) freezeLocked() *Graph {
 		rowFwdDist:    make([][]int32, nc),
 		initGains:     make([]int64, nc),
 	}
-	// Build from scratch returns non-nil (empty) RootDist/Weight even
-	// for a pairless corpus; match that shape exactly.
+	// Build from scratch returns a non-nil (empty) RootDist even for a
+	// pairless corpus; match that shape exactly.
 	if g.RootDist == nil {
 		g.RootDist = make([]int32, 0)
-	}
-	if g.Weight == nil {
-		g.Weight = make([]int32, 0)
 	}
 	for u := 0; u < nc; u++ {
 		r := x.fwdPair[u]

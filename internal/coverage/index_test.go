@@ -78,7 +78,7 @@ func requireInitGains(t *testing.T, g *Graph, label string) {
 		pairs, dists := g.CoveredRow(u)
 		for i, w := range pairs {
 			if diff := g.RootDist[w] - dists[i]; diff > 0 {
-				want += int64(diff)
+				want += int64(g.Weight[w]) * int64(diff)
 			}
 		}
 		if gains[u] != want {

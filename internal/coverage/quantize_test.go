@@ -96,20 +96,3 @@ func TestQuickQuantizedCostsMatchMultiset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: plain builders always produce unit weights.
-func TestQuickPlainBuildersUnitWeights(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, P := randomPairsInstance(rng)
-		for _, w := range BuildPairs(m, P).Weight {
-			if w != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

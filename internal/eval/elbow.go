@@ -27,7 +27,7 @@ func CoverageRate(m model.Metric, pairs []model.Pair, k int) float64 {
 	for w := range g.Pairs {
 		g.Coverers(w, func(u, dist int) bool {
 			if selected[u] {
-				covered++
+				covered += int(g.Weight[w])
 				return false
 			}
 			return true

@@ -184,6 +184,35 @@ func TestCoverageRateMonotoneInEpsilon(t *testing.T) {
 	}
 }
 
+// TestCoverageRateCountsDuplicates checks the §5.3 rate on a multiset
+// with repeated pairs against a count made pair by pair with
+// Metric.PairDistance: every copy of a covered pair counts.
+func TestCoverageRateCountsDuplicates(t *testing.T) {
+	o, ids := chainOnt(t)
+	leaf := model.Pair{Concept: ids["leaf"], Sentiment: 0.9}
+	mid := model.Pair{Concept: ids["mid"], Sentiment: 0.8}
+	sib := model.Pair{Concept: ids["sib"], Sentiment: -0.5}
+	far := model.Pair{Concept: ids["leaf"], Sentiment: -0.9}
+	P := []model.Pair{leaf, sib, leaf, mid, leaf, sib, far, leaf, mid}
+	m := model.Metric{Ont: o, Epsilon: 0.5}
+	for k := 0; k <= 3; k++ {
+		selected := summarize.Greedy(coverage.BuildPairs(m, P), k).Selected
+		covered := 0
+		for _, p := range P {
+			for _, u := range selected {
+				if m.PairDistance(P[u], p) < model.Infinite {
+					covered++
+					break
+				}
+			}
+		}
+		want := float64(covered) / float64(len(P))
+		if got := CoverageRate(m, P, k); got != want {
+			t.Fatalf("k=%d: CoverageRate = %v, want %d of %d pairs = %v", k, got, covered, len(P), want)
+		}
+	}
+}
+
 // generatedItems annotates a few generated items end to end.
 func generatedItems(t testing.TB, n int) ([]*model.Item, model.Metric) {
 	t.Helper()

@@ -66,7 +66,7 @@ func NewKMedianModel(g *coverage.Graph, k int) *KMedianModel {
 	var rowCoef []float64
 	for w := range g.Pairs {
 		D := int(g.RootDist[w])
-		mult := int(g.Weight[w]) // pair multiplicity (1 unless deduped)
+		mult := int(g.Weight[w]) // how many pairs of P target w stands for
 		if D == 0 || mult == 0 {
 			continue // a root-concept pair costs 0 regardless of F
 		}

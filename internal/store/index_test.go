@@ -51,7 +51,7 @@ func requireSameSummary(t *testing.T, got, want *Summary, label string) {
 func coldSummary(rt *ontoreg.Runtime, item *model.Item, k int, g model.Granularity) *Summary {
 	graph := coverage.Build(rt.Metric, item, g)
 	k = min(k, graph.NumCandidates)
-	return newSummary(rt, item, 0, k, g, MethodGreedy, len(graph.Pairs), summarize.GreedyRebuild(graph, k))
+	return newSummary(rt, item, 0, k, g, MethodGreedy, len(item.Pairs()), summarize.GreedyRebuild(graph, k))
 }
 
 // TestIndexedSummariesMatchCold is the store-level equivalence check:
@@ -121,7 +121,7 @@ func coldMethodSummary(t *testing.T, rt *ontoreg.Runtime, item *model.Item, k in
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSummary(rt, item, 0, k, g, m, len(graph.Pairs), res)
+	return newSummary(rt, item, 0, k, g, m, len(item.Pairs()), res)
 }
 
 // TestIndexedBackwardMethodsMatchCold extends the store-level
@@ -299,5 +299,56 @@ func TestReannotationRaceInvalidatesIndex(t *testing.T) {
 	}
 	if _, _, err := s.Summary("p1", 2, model.GranularitySentences, MethodGreedy); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewSummaryRendersSelection checks the renderer, which walks the
+// reviews to the selected units, against the flattened corpus: pairs
+// and their concept names, sentence texts and review IDs, in selection
+// order, for random unsorted selections of every size.
+func TestNewSummaryRendersSelection(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendReviews("p1", "Acme", manyPhoneReviews(9)); err != nil {
+		t.Fatal(err)
+	}
+	item, _, _ := s.Item("p1")
+	rt := s.ActiveRuntime()
+	pairs := item.Pairs()
+	var texts []string
+	for ri := range item.Reviews {
+		for si := range item.Reviews[ri].Sentences {
+			texts = append(texts, item.Reviews[ri].Sentences[si].Text)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range []model.Granularity{
+		model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
+	} {
+		n := map[model.Granularity]int{
+			model.GranularityPairs:     len(pairs),
+			model.GranularitySentences: len(texts),
+			model.GranularityReviews:   len(item.Reviews),
+		}[g]
+		for trial := 0; trial < 20; trial++ {
+			sel := rng.Perm(n)[:rng.Intn(n+1)]
+			want := &Summary{Indices: sel}
+			for _, u := range sel {
+				switch g {
+				case model.GranularityPairs:
+					want.Pairs = append(want.Pairs, pairs[u])
+					want.Concepts = append(want.Concepts, rt.Metric.Ont.Name(pairs[u].Concept))
+				case model.GranularitySentences:
+					want.Sentences = append(want.Sentences, texts[u])
+				case model.GranularityReviews:
+					want.ReviewIDs = append(want.ReviewIDs, item.Reviews[u].ID)
+				}
+			}
+			got := newSummary(rt, item, 0, len(sel), g, MethodGreedy, len(pairs), &summarize.Result{Selected: sel})
+			want.Cost, want.NumPairs, want.K = got.Cost, len(pairs), len(sel)
+			requireSameSummary(t, got, want, fmt.Sprintf("%v/trial%d", g, trial))
+		}
 	}
 }

@@ -866,14 +866,19 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 	if err != nil {
 		return nil, err
 	}
-	sum := newSummary(rt, item, gen, k, g, m, len(graph.Pairs), res)
+	// The graph's targets are P's distinct pairs; their weights sum to |P|.
+	numPairs := 0
+	for _, w := range graph.Weight {
+		numPairs += int(w)
+	}
+	sum := newSummary(rt, item, gen, k, g, m, numPairs, res)
 	s.metrics.solveSeconds[m].ObserveSince(solveStart)
 	return sum, nil
 }
 
 // newSummary renders a selection over the item snapshot into a
-// Summary; k is the effective (clamped) k and numPairs the solved
-// graph's pair count.
+// Summary; k is the effective (clamped) k and numPairs |P|, the item's
+// pair count.
 func newSummary(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, g model.Granularity, m Method, numPairs int, res *summarize.Result) *Summary {
 	sum := &Summary{
 		ItemID:          item.ID,
@@ -887,29 +892,59 @@ func newSummary(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, g mode
 		Ontology:        rt.Name,
 		OntologyVersion: rt.Version,
 	}
+	n := len(res.Selected)
+	if n == 0 {
+		return sum
+	}
 	switch g {
 	case model.GranularityPairs:
-		all := item.Pairs()
-		for _, idx := range res.Selected {
-			sum.Pairs = append(sum.Pairs, all[idx])
-			sum.Concepts = append(sum.Concepts, rt.Metric.Ont.Name(all[idx].Concept))
-		}
+		sum.Pairs = make([]model.Pair, n)
+		sum.Concepts = make([]string, n)
+		walkSelected(item, res.Selected, true, func(i int, s *model.Sentence, off int) {
+			sum.Pairs[i] = s.Pairs[off]
+			sum.Concepts[i] = rt.Metric.Ont.Name(s.Pairs[off].Concept)
+		})
 	case model.GranularitySentences:
-		texts := make([]string, 0, item.NumSentences())
-		for ri := range item.Reviews {
-			for si := range item.Reviews[ri].Sentences {
-				texts = append(texts, item.Reviews[ri].Sentences[si].Text)
-			}
-		}
-		for _, idx := range res.Selected {
-			sum.Sentences = append(sum.Sentences, texts[idx])
-		}
+		sum.Sentences = make([]string, n)
+		walkSelected(item, res.Selected, false, func(i int, s *model.Sentence, _ int) {
+			sum.Sentences[i] = s.Text
+		})
 	case model.GranularityReviews:
 		for _, idx := range res.Selected {
 			sum.ReviewIDs = append(sum.ReviewIDs, item.Reviews[idx].ID)
 		}
 	}
 	return sum
+}
+
+// walkSelected finds the selected units in one pass over the item's
+// sentences, without flattening the corpus. A unit is a flattened pair
+// index when byPair is set, else a flattened sentence index. fn gets
+// the unit's position in sel, its sentence and, for a pair, its offset
+// in that sentence.
+func walkSelected(item *model.Item, sel []int, byPair bool, fn func(i int, s *model.Sentence, off int)) {
+	order := make([]int, len(sel))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return sel[order[a]] < sel[order[b]] })
+	next, base := 0, 0
+	for ri := range item.Reviews {
+		for si := range item.Reviews[ri].Sentences {
+			if next == len(order) {
+				return
+			}
+			s := &item.Reviews[ri].Sentences[si]
+			units := 1
+			if byPair {
+				units = len(s.Pairs)
+			}
+			for ; next < len(order) && sel[order[next]] < base+units; next++ {
+				fn(order[next], s, sel[order[next]]-base)
+			}
+			base += units
+		}
+	}
 }
 
 // Stats is a point-in-time snapshot of store-level counters.

@@ -96,8 +96,7 @@ func TestLocalSearchKZero(t *testing.T) {
 
 func TestLocalSearchOnWeightedGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	full := randomGraph(rng, 12, 20)
-	q, _ := quantize(full)
+	q, _ := quantize(randomPairs(rng, 12, 20))
 	k := 2
 	if k > q.NumCandidates {
 		k = q.NumCandidates

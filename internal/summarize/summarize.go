@@ -120,8 +120,8 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 	}
 	keys := s.keys[:n]
 	if gains := g.InitGains(); gains != nil {
-		// Index-frozen graph: the initial keys were maintained at merge
-		// time (unit weights by construction of the index).
+		// Index-frozen graph: the initial keys, weights included, were
+		// maintained at merge time.
 		for u := 0; u < n; u++ {
 			keys[u] = float64(gains[u])
 		}

@@ -17,6 +17,13 @@ import (
 
 // randomGraph builds a random pairs-granularity coverage instance.
 func randomGraph(rng *rand.Rand, maxConcepts, maxPairs int) *coverage.Graph {
+	return coverage.BuildPairs(randomPairs(rng, maxConcepts, maxPairs))
+}
+
+// randomPairs draws a random DAG and pair multiset P, the instance
+// randomGraph builds. The graph's Pairs are P's distinct pairs, so
+// helpers that need P itself take it from here.
+func randomPairs(rng *rand.Rand, maxConcepts, maxPairs int) (model.Metric, []model.Pair) {
 	var b ontology.Builder
 	n := 2 + rng.Intn(maxConcepts-1)
 	ids := make([]ontology.ConceptID, n)
@@ -37,13 +44,12 @@ func randomGraph(rng *rand.Rand, maxConcepts, maxPairs int) *coverage.Graph {
 	for i := range P {
 		P[i] = model.Pair{Concept: ids[rng.Intn(n)], Sentiment: math.Round(rng.Float64()*20-10) / 10}
 	}
-	return coverage.BuildPairs(model.Metric{Ont: o, Epsilon: 0.5}, P)
+	return model.Metric{Ont: o, Epsilon: 0.5}, P
 }
 
 // randomGroupGraph builds a random sentences-style instance.
 func randomGroupGraph(rng *rand.Rand) *coverage.Graph {
-	g := randomGraph(rng, 12, 24)
-	P := g.Pairs
+	m, P := randomPairs(rng, 12, 24)
 	var groups [][]model.Pair
 	for i := 0; i < len(P); {
 		j := i + 1 + rng.Intn(3)
@@ -53,7 +59,7 @@ func randomGroupGraph(rng *rand.Rand) *coverage.Graph {
 		groups = append(groups, P[i:j])
 		i = j
 	}
-	return coverage.BuildGroups(g.Metric, groups, P)
+	return coverage.BuildGroups(m, groups, P)
 }
 
 func TestGreedyPicksHighestGainFirst(t *testing.T) {
@@ -382,8 +388,9 @@ func TestRandomizedRoundingBestClampsTrials(t *testing.T) {
 func TestWeightedGraphMatchesExpandedMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 10; trial++ {
-		full := randomGraph(rng, 10, 16)
-		q, _ := coverage.BuildPairsQuantized(full.Metric, full.Pairs, 0.1)
+		m, P := randomPairs(rng, 10, 16)
+		full := coverage.BuildPairs(m, P)
+		q, _ := quantize(m, P)
 		k := 2
 		if k > q.NumCandidates {
 			k = q.NumCandidates
@@ -415,9 +422,10 @@ func TestWeightedGraphMatchesExpandedMultiset(t *testing.T) {
 	}
 }
 
-// quantize is a test helper building the weighted variant of a graph.
-func quantize(g *coverage.Graph) (*coverage.Graph, []int) {
-	return coverage.BuildPairsQuantized(g.Metric, g.Pairs, 0.1)
+// quantize is a test helper building the quantized variant of a pair
+// instance.
+func quantize(m model.Metric, P []model.Pair) (*coverage.Graph, []int) {
+	return coverage.BuildPairsQuantized(m, P, 0.1)
 }
 
 // TestQuickTheorem4GreedyBound verifies Wolsey's guarantee as the
@@ -435,8 +443,9 @@ func TestQuickTheorem4GreedyBound(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 10, 10)
-		n := len(g.Pairs)
+		m, P := randomPairs(rng, 10, 10)
+		g := coverage.BuildPairs(m, P)
+		n := len(P)
 		delta := g.Metric.Ont.MaxDepth()
 		if delta < 1 {
 			delta = 1

@@ -11,6 +11,11 @@
 //
 //	osars-bench -o BENCH_coldpath.json        # full run (~1s/bench)
 //	osars-bench -short -o /tmp/smoke.json     # CI smoke (~50ms/bench)
+//	osars-bench -count 5 -o BENCH_coldpath.json
+//
+// With -count N each benchmark runs N times; its row records the
+// median run's ns/op, B/op and allocs/op, plus the fastest and slowest
+// ns/op and the count.
 //
 // Compare mode diffs two result files and fails (exit 1) when any
 // benchmark's ns/op regressed beyond the tolerance:
@@ -30,6 +35,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,7 +64,10 @@ const benchK = 5
 // can exceed the file-level GOMAXPROCS); both are omitted for
 // single-threaded benchmarks, whose ns/op is a plain per-op latency.
 // For Writers > 1, ns/op is wall-time divided by total ops across all
-// writers — aggregate throughput is 1e9/ns_per_op ops/sec.
+// writers — aggregate throughput is 1e9/ns_per_op ops/sec. A row
+// measured with -count N > 1 is the median run, and Count,
+// NsPerOpMin and NsPerOpMax record the spread; they are omitted for a
+// single run.
 type Result struct {
 	Name        string  `json:"name"`
 	N           int     `json:"n"`
@@ -67,6 +76,9 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	Writers     int     `json:"writers,omitempty"`
 	GOMAXPROCS  int     `json:"gomaxprocs,omitempty"`
+	Count       int     `json:"count,omitempty"`
+	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_per_op_max,omitempty"`
 }
 
 // benchProcsFloor is the GOMAXPROCS floor the multi-writer benchmarks
@@ -692,7 +704,10 @@ func shardMixedBench(f *fixture, shards int) func(b *testing.B) {
 	}
 }
 
-func runMode(out string, short bool, only string) error {
+func runMode(out string, short bool, only string, count int) error {
+	if count < 1 {
+		return fmt.Errorf("-count must be at least 1, got %d", count)
+	}
 	// testing.Benchmark honours -test.benchtime; register the testing
 	// flags so we can shrink it for the CI smoke run.
 	benchtime := "1s"
@@ -722,18 +737,29 @@ func runMode(out string, short bool, only string) error {
 			continue
 		}
 		fn := bm.fn
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			fn(b)
-		})
+		runs := make([]testing.BenchmarkResult, count)
+		for i := range runs {
+			runs[i] = testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				fn(b)
+			})
+		}
+		nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+		sort.Slice(runs, func(i, j int) bool { return nsPerOp(runs[i]) < nsPerOp(runs[j]) })
+		r := runs[(count-1)/2]
 		res := Result{
 			Name:        bm.name,
 			N:           r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			NsPerOp:     nsPerOp(r),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			Writers:     bm.writers,
+		}
+		if count > 1 {
+			res.Count = count
+			res.NsPerOpMin = nsPerOp(runs[0])
+			res.NsPerOpMax = nsPerOp(runs[count-1])
 		}
 		if bm.writers > 0 {
 			res.GOMAXPROCS = runtime.GOMAXPROCS(0)
@@ -742,8 +768,12 @@ func runMode(out string, short bool, only string) error {
 			}
 		}
 		file.Benchmarks = append(file.Benchmarks, res)
-		fmt.Printf("%-22s %10d iters  %12.0f ns/op  %8d B/op  %6d allocs/op\n",
+		fmt.Printf("%-22s %10d iters  %12.0f ns/op  %8d B/op  %6d allocs/op",
 			res.Name, res.N, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+		if count > 1 {
+			fmt.Printf("  (min %.0f, max %.0f of %d)", res.NsPerOpMin, res.NsPerOpMax, count)
+		}
+		fmt.Println()
 	}
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
@@ -831,6 +861,7 @@ func main() {
 	out := flag.String("o", "BENCH_coldpath.json", "output file for run mode (\"-\" for stdout)")
 	short := flag.Bool("short", false, "CI smoke mode: ~50ms per benchmark instead of ~1s")
 	only := flag.String("run", "", "run mode: only benchmarks matching this regexp")
+	count := flag.Int("count", 1, "run mode: run each benchmark N times and record the median run with the min and max ns/op")
 	compare := flag.Bool("compare", false, "compare mode: osars-bench -compare OLD.json NEW.json")
 	tol := flag.Float64("tol", 0.25, "compare mode: allowed fractional ns/op regression (0.25 = +25%)")
 	testing.Init() // registers -test.benchtime before flag.Parse
@@ -844,7 +875,7 @@ func main() {
 		}
 		err = compareMode(flag.Arg(0), flag.Arg(1), *tol)
 	} else {
-		err = runMode(*out, *short, *only)
+		err = runMode(*out, *short, *only, *count)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "osars-bench:", err)

@@ -22,21 +22,27 @@ import (
 	"osars/internal/text"
 )
 
-// trieNode is one node of the token trie.
-type trieNode struct {
-	children map[string]*trieNode
-	// concept is the concept ending at this node (None if internal).
-	concept ontology.ConceptID
-}
-
 // Matcher annotates token streams with ontology concepts by greedy
 // longest match over concept names and synonyms. Matching is
 // case-insensitive and token-based; multi-word concepts ("display
 // color", "wait time") match as phrases. Safe for concurrent use after
 // construction.
+//
+// Every normalized concept-name token is interned as a dense int32 ID,
+// and the phrases form a flat trie over those IDs: node 0 is the root,
+// root[t] is the root's child on token t, edges[n<<32|t] is the child
+// of node n > 0 on token t, and a child of 0 means none. Matching
+// hashes each token once to find its ID; every probe after that is an
+// array index or an integer-keyed map lookup.
 type Matcher struct {
-	ont  *ontology.Ontology
-	root *trieNode
+	ont *ontology.Ontology
+	// ids interns each normalized concept-name token.
+	ids   map[string]int32
+	root  []int32
+	edges map[uint64]int32
+	// concept is the concept ending at each trie node (None if
+	// internal).
+	concept []ontology.ConceptID
 	// maxLen is the longest phrase in tokens, bounding lookahead.
 	maxLen int
 	// stem normalizes tokens with the Porter stemmer on both sides,
@@ -61,7 +67,13 @@ func NewMatcher(ont *ontology.Ontology) *Matcher {
 
 // NewMatcherWithOptions is NewMatcher with configurable normalization.
 func NewMatcherWithOptions(ont *ontology.Ontology, opt MatcherOptions) *Matcher {
-	m := &Matcher{ont: ont, root: &trieNode{concept: ontology.None}, stem: opt.Stem}
+	m := &Matcher{
+		ont:     ont,
+		ids:     map[string]int32{},
+		edges:   make(map[uint64]int32, ont.Len()),
+		concept: []ontology.ConceptID{ontology.None},
+		stem:    opt.Stem,
+	}
 	for id := ontology.ConceptID(0); int(id) < ont.Len(); id++ {
 		if id == ont.Root() {
 			continue
@@ -83,32 +95,62 @@ func (m *Matcher) norm(tok string) string {
 
 func (m *Matcher) index(phrase string, id ontology.ConceptID) {
 	tokens := text.Tokenize(phrase)
-	for i, t := range tokens {
-		tokens[i] = m.norm(t)
-	}
 	if len(tokens) == 0 {
 		return
 	}
 	if len(tokens) > m.maxLen {
 		m.maxLen = len(tokens)
 	}
-	node := m.root
+	node := int32(0)
 	for _, tok := range tokens {
-		if node.children == nil {
-			node.children = make(map[string]*trieNode)
-		}
-		next, ok := node.children[tok]
-		if !ok {
-			next = &trieNode{concept: ontology.None}
-			node.children[tok] = next
+		t := m.intern(m.norm(tok))
+		next := m.child(node, t)
+		if next == 0 {
+			next = int32(len(m.concept))
+			m.concept = append(m.concept, ontology.None)
+			if node == 0 {
+				m.root[t] = next
+			} else {
+				m.edges[edgeKey(node, t)] = next
+			}
 		}
 		node = next
 	}
 	// First indexing wins; a synonym shared by two concepts keeps the
 	// earlier (more general, since parents are added first) concept.
-	if node.concept == ontology.None {
-		node.concept = id
+	if m.concept[node] == ontology.None {
+		m.concept[node] = id
 	}
+}
+
+// intern returns tok's ID, assigning the next one to a new token.
+func (m *Matcher) intern(tok string) int32 {
+	if t, ok := m.ids[tok]; ok {
+		return t
+	}
+	t := int32(len(m.root))
+	m.ids[tok] = t
+	m.root = append(m.root, 0)
+	return t
+}
+
+func edgeKey(node, tok int32) uint64 { return uint64(node)<<32 | uint64(tok) }
+
+// child returns node's child on token t, or 0 when there is none. t is
+// -1 for an unknown token, and may be an ID past the matcher's own
+// tokens (a pipeline vocabulary extends the matcher's): neither has a
+// child.
+func (m *Matcher) child(node, t int32) int32 {
+	if node == 0 {
+		if uint32(t) < uint32(len(m.root)) {
+			return m.root[t]
+		}
+		return 0
+	}
+	if t < 0 {
+		return 0
+	}
+	return m.edges[edgeKey(node, t)]
 }
 
 // Match is one concept occurrence in a token stream.
@@ -118,44 +160,46 @@ type Match struct {
 	Start, End int
 }
 
-// normPool recycles the per-call normalized-token buffers of
-// MatchTokens, so stemmed matching allocates only the stems
-// themselves.
-var normPool = sync.Pool{New: func() any { return new([]string) }}
+// idPool recycles the per-call token-ID buffers of MatchTokens.
+var idPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // MatchTokens scans a tokenized sentence left to right, emitting the
 // longest concept match at each position (overlapping shorter matches
 // are suppressed, as in MetaMap's longest-spanning-candidate default).
 //
-// When stemming is enabled, each token is normalized exactly once up
-// front into a pooled buffer. (The scan probes position j up to maxLen
-// times — once per window start — so the previous per-probe m.norm
-// call re-stemmed every token up to maxLen times.)
+// Each token is normalized (stemmed, when enabled) and mapped to its
+// ID exactly once, up front, into a pooled buffer; the scan then reads
+// only IDs, although it probes a position up to maxLen times.
 func (m *Matcher) MatchTokens(tokens []string) []Match {
-	normed := tokens
-	var bufp *[]string
-	if m.stem {
-		bufp = normPool.Get().(*[]string)
-		buf := (*bufp)[:0]
-		for _, t := range tokens {
-			buf = append(buf, text.Stem(t))
+	bufp := idPool.Get().(*[]int32)
+	ids := (*bufp)[:0]
+	for _, tok := range tokens {
+		t, ok := m.ids[m.norm(tok)]
+		if !ok {
+			t = -1
 		}
-		*bufp = buf
-		normed = buf
+		ids = append(ids, t)
 	}
-	var out []Match
-	for i := 0; i < len(normed); {
-		node := m.root
+	out := m.appendMatches(nil, ids)
+	*bufp = ids
+	idPool.Put(bufp)
+	return out
+}
+
+// appendMatches is the matching scan of MatchTokens over token IDs
+// (-1 for a token the matcher does not know); it appends the matches
+// to out.
+func (m *Matcher) appendMatches(out []Match, ids []int32) []Match {
+	for i := 0; i < len(ids); {
+		node := int32(0)
 		bestEnd := -1
 		best := ontology.None
-		for j := i; j < len(normed) && j-i < m.maxLen; j++ {
-			next, ok := node.children[normed[j]]
-			if !ok {
+		for j := i; j < len(ids) && j-i < m.maxLen; j++ {
+			if node = m.child(node, ids[j]); node == 0 {
 				break
 			}
-			node = next
-			if node.concept != ontology.None {
-				best = node.concept
+			if c := m.concept[node]; c != ontology.None {
+				best = c
 				bestEnd = j + 1
 			}
 		}
@@ -165,9 +209,6 @@ func (m *Matcher) MatchTokens(tokens []string) []Match {
 			continue
 		}
 		i++
-	}
-	if bufp != nil {
-		normPool.Put(bufp)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,16 +17,30 @@ import (
 // compute the sentiment of the containing sentence and assign this
 // sentiment to the concept."
 //
+// Build a Pipeline with NewPipeline, and do not change its fields
+// afterwards: NewPipeline compiles them. When the estimator is a
+// sentiment.Lexicon and the matcher is unstemmed, it extends the
+// matcher's token vocabulary with the lexicon's words, and
+// AnnotateReview then annotates ASCII text in one pass over interned
+// token IDs. Every other input takes the []string path (SplitSentences
+// → Tokenize → MatchTokens → EstimateSentence), which is also what a
+// Pipeline built as a struct literal runs. Both give identical output
+// (TestAnnotateMatchesReference, FuzzAnnotateMatchesReference).
+//
 // Concurrency invariant: a Pipeline is safe for concurrent use. The
-// Matcher is immutable after construction, and every Estimator
-// implementation must be read-only in EstimateSentence (the built-in
-// Lexicon and Ridge estimators are: both only read state fixed at
-// construction/training time). AnnotateReviews relies on this to fan
-// annotation out across a worker pool; TestPipelineParallelMatchesSequential
-// exercises the invariant under -race.
+// Matcher and the compiled vocabulary are immutable after
+// construction, and every Estimator implementation must be read-only
+// in EstimateSentence (the built-in Lexicon and Ridge estimators are:
+// both only read state fixed at construction/training time).
+// AnnotateReviews relies on this to fan annotation out across a worker
+// pool; TestPipelineParallelMatchesSequential exercises the invariant
+// under -race.
 type Pipeline struct {
 	Matcher   *Matcher
 	Estimator sentiment.Estimator
+	// lex is the compiled lexicon of the one-pass path; nil selects
+	// the []string path.
+	lex *lexVocab
 }
 
 // NewPipeline wires a matcher with an estimator. A nil estimator
@@ -34,7 +49,12 @@ func NewPipeline(m *Matcher, e sentiment.Estimator) *Pipeline {
 	if e == nil {
 		e = sentiment.Lexicon{}
 	}
-	return &Pipeline{Matcher: m, Estimator: e}
+	p := &Pipeline{Matcher: m, Estimator: e}
+	if l, ok := e.(sentiment.Lexicon); ok && !m.stem {
+		ids := maps.Clone(m.ids)
+		p.lex = &lexVocab{m: m, ids: ids, lex: l.Compile(ids)}
+	}
+	return p
 }
 
 // AnnotateSentence extracts the pairs of one raw sentence.
@@ -55,6 +75,11 @@ func (p *Pipeline) AnnotateSentence(raw string) model.Sentence {
 // AnnotateReview splits raw review text into sentences and annotates
 // each. rating is the review's star rating normalized to [-1, +1].
 func (p *Pipeline) AnnotateReview(id, raw string, rating float64) model.Review {
+	if p.lex != nil {
+		if r, ok := p.lex.annotate(id, raw, rating); ok {
+			return r
+		}
+	}
 	r := model.Review{ID: id, Rating: rating}
 	for _, sent := range text.SplitSentences(raw) {
 		r.Sentences = append(r.Sentences, p.AnnotateSentence(sent))

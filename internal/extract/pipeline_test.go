@@ -72,3 +72,32 @@ func TestAnnotateReviewsEmpty(t *testing.T) {
 		t.Fatal("single review with many workers differs from sequential")
 	}
 }
+
+type constEstimator float64
+
+func (c constEstimator) EstimateSentence([]string) float64 { return float64(c) }
+
+// TestNewPipelineCompilesLexiconOnly pins which pipelines take the
+// one-pass path: NewPipeline with a sentiment.Lexicon (or the nil
+// default) over an unstemmed matcher. A stemmed matcher, another
+// estimator and a struct literal keep the []string path.
+func TestNewPipelineCompilesLexiconOnly(t *testing.T) {
+	o, _ := phoneOnt(t)
+	m := NewMatcher(o)
+	stemmed := NewMatcherWithOptions(o, MatcherOptions{Stem: true})
+	for _, c := range []struct {
+		name string
+		p    *Pipeline
+		want bool
+	}{
+		{"default", NewPipeline(m, nil), true},
+		{"lexicon", NewPipeline(m, sentiment.Lexicon{Table: map[string]float64{"meh": -0.2}}), true},
+		{"stemmed", NewPipeline(stemmed, nil), false},
+		{"estimator", NewPipeline(m, constEstimator(0.5)), false},
+		{"literal", &Pipeline{Matcher: m, Estimator: sentiment.Lexicon{}}, false},
+	} {
+		if got := c.p.lex != nil; got != c.want {
+			t.Errorf("%s: one-pass path = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"osars/internal/ontology"
 )
@@ -72,6 +73,49 @@ func (it *Item) NumSentences() int {
 		n += len(it.Reviews[i].Sentences)
 	}
 	return n
+}
+
+// NumPairs counts the pairs across all reviews: len(it.Pairs()),
+// without copying them.
+func (it *Item) NumPairs() int {
+	n := 0
+	for i := range it.Reviews {
+		for j := range it.Reviews[i].Sentences {
+			n += len(it.Reviews[i].Sentences[j].Pairs)
+		}
+	}
+	return n
+}
+
+// WalkSelected finds the selected units in one pass over the item's
+// sentences, without flattening the corpus. A unit is a flattened pair
+// index (an index into Pairs()) when byPair is set, else a flattened
+// sentence index. fn gets the unit's position in sel, its sentence
+// and, for a pair, its offset in that sentence. sel need not be
+// sorted.
+func (it *Item) WalkSelected(sel []int, byPair bool, fn func(i int, s *Sentence, off int)) {
+	order := make([]int, len(sel))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return sel[order[a]] < sel[order[b]] })
+	next, base := 0, 0
+	for ri := range it.Reviews {
+		for si := range it.Reviews[ri].Sentences {
+			if next == len(order) {
+				return
+			}
+			s := &it.Reviews[ri].Sentences[si]
+			units := 1
+			if byPair {
+				units = len(s.Pairs)
+			}
+			for ; next < len(order) && sel[order[next]] < base+units; next++ {
+				fn(order[next], s, sel[order[next]]-base)
+			}
+			base += units
+		}
+	}
 }
 
 // Granularity selects which unit a summary is made of (§2: "a

@@ -145,6 +145,9 @@ func TestReviewAndItemPairs(t *testing.T) {
 	if got := it.NumSentences(); got != 4 {
 		t.Fatalf("NumSentences = %d, want 4", got)
 	}
+	if got := it.NumPairs(); got != 4 {
+		t.Fatalf("NumPairs = %d, want 4", got)
+	}
 }
 
 func TestGranularityString(t *testing.T) {

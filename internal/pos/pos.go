@@ -185,6 +185,11 @@ var lexicon = map[string]Tag{
 // and morphological suffix rules as fallback. Unknown words default to
 // Noun, the most productive open class in reviews — the same default
 // MetaMap-era taggers use.
+//
+// TagWord does not retain w, so tagging string(b) for a byte slice b
+// of up to 32 bytes does not allocate: the compiler converts into a
+// stack buffer. The one-pass annotator in internal/extract relies on
+// this to tag lowered tokens.
 func TagWord(w string) Tag {
 	if w == "" {
 		return Other

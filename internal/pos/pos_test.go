@@ -83,3 +83,17 @@ func TestReviewSentenceEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestTagWordBytesNoAlloc pins the property TagWord's doc promises:
+// tagging a token lowered into a byte buffer, through string(b), does
+// not allocate.
+func TestTagWordBytesNoAlloc(t *testing.T) {
+	buf := []byte("frobbing")
+	var tag Tag
+	if n := testing.AllocsPerRun(100, func() { tag = TagWord(string(buf)) }); n != 0 {
+		t.Fatalf("TagWord(string(b)) allocates %v times", n)
+	}
+	if tag != Verb {
+		t.Fatalf("TagWord(%q) = %v, want VERB", buf, tag)
+	}
+}

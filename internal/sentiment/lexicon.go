@@ -177,6 +177,9 @@ func (l Lexicon) Score(sentence string) float64 {
 // and flipped by a preceding negator within the negation window; the
 // sentence score is the average contribution clamped to [-1, +1].
 // Sentences without opinion words score 0 (neutral).
+//
+// Compiled.EstimateIDs applies the same rules to token IDs; a change
+// here must be made there too.
 func (l Lexicon) EstimateSentence(tokens []string) float64 {
 	lex := l.lexicon()
 	total := 0.0
@@ -207,6 +210,118 @@ func (l Lexicon) EstimateSentence(tokens []string) float64 {
 				break
 			}
 			if tg := pos.TagWord(prev); tg == pos.Noun || tg == pos.Verb {
+				break
+			}
+		}
+		score *= scale
+		if negated {
+			score *= negationFlip
+		}
+		total += score
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	avg := total / float64(n)
+	return clamp(avg)
+}
+
+// Compiled is a Lexicon compiled over a token vocabulary, for
+// annotators that intern each token once and then work on IDs.
+type Compiled struct {
+	words []compiledWord // indexed by token ID
+}
+
+type compiledWord struct {
+	prior float64 // opinion prior, when flags has isOpinion
+	scale float64 // intensifier multiplier, when flags has isIntensifier
+	flags uint8
+}
+
+const (
+	isOpinion uint8 = 1 << iota
+	isIntensifier
+	isNegator
+	isNounOrVerb // pos.TagWord is Noun or Verb
+)
+
+// Compile interns the lexicon's opinion words, intensifiers and
+// negators into vocab, which maps tokens to the dense IDs
+// 0..len(vocab)-1; a word vocab lacks gets the next free ID. It
+// returns the lexicon over vocab's IDs. vocab must not change
+// afterwards.
+func (l Lexicon) Compile(vocab map[string]int32) *Compiled {
+	intern := func(w string) {
+		if _, ok := vocab[w]; !ok {
+			vocab[w] = int32(len(vocab))
+		}
+	}
+	lex := l.lexicon()
+	for w := range lex {
+		intern(w)
+	}
+	for w := range intensifiers {
+		intern(w)
+	}
+	for w := range negators {
+		intern(w)
+	}
+	c := &Compiled{words: make([]compiledWord, len(vocab))}
+	for w, t := range vocab {
+		x := &c.words[t]
+		if p, ok := lex[w]; ok {
+			x.prior, x.flags = p, x.flags|isOpinion
+		}
+		if s, ok := intensifiers[w]; ok {
+			x.scale, x.flags = s, x.flags|isIntensifier
+		}
+		if negators[w] {
+			x.flags |= isNegator
+		}
+		if tg := pos.TagWord(w); tg == pos.Noun || tg == pos.Verb {
+			x.flags |= isNounOrVerb
+		}
+	}
+	return c
+}
+
+// EstimateIDs is EstimateSentence over a sentence's token IDs, -1
+// marking a token outside the vocabulary. It applies the same rules
+// with the same float operations in the same order, so the scores are
+// bit-identical. An unknown token is no opinion word, intensifier or
+// negator; only its part of speech can end a look-back, so
+// unknownNounOrVerb(i) reports whether token i tags as a noun or verb.
+func (c *Compiled) EstimateIDs(ids []int32, unknownNounOrVerb func(i int) bool) float64 {
+	total := 0.0
+	n := 0
+	for i, t := range ids {
+		if t < 0 || c.words[t].flags&isOpinion == 0 {
+			continue
+		}
+		score := c.words[t].prior
+		// Look back for an intensifier chain and a negator.
+		scale := 1.0
+		negated := false
+		for back := 1; back <= negationWindow && i-back >= 0; back++ {
+			prev := ids[i-back]
+			if prev < 0 {
+				if unknownNounOrVerb(i - back) {
+					break
+				}
+				continue
+			}
+			w := &c.words[prev]
+			if back == 1 && w.flags&isIntensifier != 0 {
+				scale = w.scale
+				continue
+			}
+			if w.flags&isNegator != 0 {
+				negated = true
+				break
+			}
+			// Stop scanning past another content word.
+			if w.flags&(isOpinion|isNounOrVerb) != 0 {
 				break
 			}
 		}

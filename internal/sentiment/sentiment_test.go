@@ -3,9 +3,11 @@ package sentiment
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"osars/internal/pos"
 	"osars/internal/text"
 )
 
@@ -239,4 +241,49 @@ func TestEstimatorInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var _ Estimator = r
+}
+
+// TestCompiledMatchesEstimateSentence ties Compiled.EstimateIDs to
+// EstimateSentence bit for bit, on random sentences of opinion words,
+// intensifiers, negators, nouns, verbs and words outside the
+// vocabulary, under the built-in table and a custom one.
+func TestCompiledMatchesEstimateSentence(t *testing.T) {
+	var words []string
+	for _, m := range []map[string]float64{opinionLexicon, intensifiers} {
+		for w := range m {
+			words = append(words, w)
+		}
+	}
+	for w := range negators {
+		words = append(words, w)
+	}
+	words = append(words, "battery", "staff", "is", "was", "the", "and", "running",
+		"quickly", "xyzzy", "frobbed", "zorp", "meh")
+	sort.Strings(words)
+	rng := rand.New(rand.NewSource(1))
+	for _, l := range []Lexicon{{}, {Table: map[string]float64{"meh": -0.2, "battery": 0.4, "very": 0.5, "not": -0.1}}} {
+		// The vocabulary starts with a few unrelated words, as a
+		// matcher's would, and knows only some of the test words.
+		vocab := map[string]int32{"battery": 0, "screen": 1, "wait": 2, "time": 3}
+		c := l.Compile(vocab)
+		for trial := 0; trial < 5000; trial++ {
+			toks := make([]string, rng.Intn(9))
+			ids := make([]int32, len(toks))
+			for i := range toks {
+				toks[i] = words[rng.Intn(len(words))]
+				t, ok := vocab[toks[i]]
+				if !ok {
+					t = -1
+				}
+				ids[i] = t
+			}
+			got := c.EstimateIDs(ids, func(i int) bool {
+				tg := pos.TagWord(toks[i])
+				return tg == pos.Noun || tg == pos.Verb
+			})
+			if want := l.EstimateSentence(toks); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("table %v, %q: EstimateIDs = %v, EstimateSentence = %v", l.Table, toks, got, want)
+			}
+		}
+	}
 }

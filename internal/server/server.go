@@ -421,7 +421,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		Granularity:     gran.String(),
 		Method:          method.String(),
 		Cost:            summary.Cost,
-		NumPairs:        len(item.Pairs()),
+		NumPairs:        item.NumPairs(),
 		Sentences:       summary.Sentences,
 		ReviewIDs:       summary.ReviewIDs,
 		Ontology:        rt.Name,

@@ -900,13 +900,13 @@ func newSummary(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, g mode
 	case model.GranularityPairs:
 		sum.Pairs = make([]model.Pair, n)
 		sum.Concepts = make([]string, n)
-		walkSelected(item, res.Selected, true, func(i int, s *model.Sentence, off int) {
+		item.WalkSelected(res.Selected, true, func(i int, s *model.Sentence, off int) {
 			sum.Pairs[i] = s.Pairs[off]
 			sum.Concepts[i] = rt.Metric.Ont.Name(s.Pairs[off].Concept)
 		})
 	case model.GranularitySentences:
 		sum.Sentences = make([]string, n)
-		walkSelected(item, res.Selected, false, func(i int, s *model.Sentence, _ int) {
+		item.WalkSelected(res.Selected, false, func(i int, s *model.Sentence, _ int) {
 			sum.Sentences[i] = s.Text
 		})
 	case model.GranularityReviews:
@@ -915,36 +915,6 @@ func newSummary(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, g mode
 		}
 	}
 	return sum
-}
-
-// walkSelected finds the selected units in one pass over the item's
-// sentences, without flattening the corpus. A unit is a flattened pair
-// index when byPair is set, else a flattened sentence index. fn gets
-// the unit's position in sel, its sentence and, for a pair, its offset
-// in that sentence.
-func walkSelected(item *model.Item, sel []int, byPair bool, fn func(i int, s *model.Sentence, off int)) {
-	order := make([]int, len(sel))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return sel[order[a]] < sel[order[b]] })
-	next, base := 0, 0
-	for ri := range item.Reviews {
-		for si := range item.Reviews[ri].Sentences {
-			if next == len(order) {
-				return
-			}
-			s := &item.Reviews[ri].Sentences[si]
-			units := 1
-			if byPair {
-				units = len(s.Pairs)
-			}
-			for ; next < len(order) && sel[order[next]] < base+units; next++ {
-				fn(order[next], s, sel[order[next]]-base)
-			}
-			base += units
-		}
-	}
 }
 
 // Stats is a point-in-time snapshot of store-level counters.

@@ -1,6 +1,7 @@
 package text
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unicode"
@@ -86,6 +87,74 @@ func FuzzStem(f *testing.F) {
 		if len(out) > len(s)+1 {
 			// Porter may add back an 'e' (step 1b), never more.
 			t.Fatalf("stem grew: %q → %q", s, out)
+		}
+	})
+}
+
+// FuzzScanASCIIMatchesRunes ties ScanASCII to the rune-exact paths:
+// on ASCII input its sentences are splitSentencesRunes's, each
+// sentence's tokens lowered are tokenizeRunes of that sentence, Upper
+// is set exactly on tokens with an uppercase letter, and Tokenize and
+// SplitSentences agree with the rune paths. Non-ASCII input must be
+// refused.
+func FuzzScanASCIIMatchesRunes(f *testing.F) {
+	for _, seed := range []string{
+		"", "Hello, World!", "don't stop", "touch-screen", "3.5 stars",
+		"ünïcödé rev1ew", "a-", "-a", "''", "a\x00b", "One. Two!",
+		"Dr. Smith is great.", "3.5 stars...", "Really?! Yes.",
+		"line\nbreak", ". . .", "J. Doe e.g. Inc. ok", "Wait... what. Ok",
+		"  The STAFF was Rude!!  \n\n Not-so-GREAT  ", "x-'y z'-w A. B.C.",
+	} {
+		f.Add(seed)
+	}
+	var sc Scan
+	f.Fuzz(func(t *testing.T, s string) {
+		ascii := true
+		for i := 0; i < len(s); i++ {
+			ascii = ascii && s[i] < 0x80
+		}
+		if ok := sc.ScanASCII(s); ok != ascii {
+			t.Fatalf("ScanASCII(%q) = %v, want %v", s, ok, ascii)
+		}
+		if !ascii {
+			return
+		}
+		if got, want := SplitSentences(s), splitSentencesRunes(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SplitSentences(%q) = %q, rune path %q", s, got, want)
+		}
+		if got, want := Tokenize(s), tokenizeRunes(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, rune path %q", s, got, want)
+		}
+		sents := splitSentencesRunes(s)
+		if len(sc.Sentences) != len(sents) {
+			t.Fatalf("%q: %d sentences, rune path %d", s, len(sc.Sentences), len(sents))
+		}
+		next := 0
+		for i, st := range sc.Sentences {
+			if got := s[st.Start:st.End]; got != sents[i] {
+				t.Fatalf("%q: sentence %d = %q, rune path %q", s, i, got, sents[i])
+			}
+			if st.TokStart != next {
+				t.Fatalf("%q: sentence %d tokens start at %d, want %d", s, i, st.TokStart, next)
+			}
+			next = st.TokEnd
+			want := tokenizeRunes(sents[i])
+			toks := sc.Tokens[st.TokStart:st.TokEnd]
+			if len(toks) != len(want) {
+				t.Fatalf("%q: sentence %d has %d tokens, rune path %d", s, i, len(toks), len(want))
+			}
+			for j, tk := range toks {
+				raw := s[tk.Start:tk.End]
+				if got := string(AppendLowerASCII(nil, raw)); got != want[j] {
+					t.Fatalf("%q: token %q, rune path %q", s, got, want[j])
+				}
+				if tk.Upper != (strings.ToLower(raw) != raw) {
+					t.Fatalf("%q: token %q Upper = %v", s, raw, tk.Upper)
+				}
+			}
+		}
+		if next != len(sc.Tokens) {
+			t.Fatalf("%q: %d tokens outside sentences", s, len(sc.Tokens)-next)
 		}
 	})
 }

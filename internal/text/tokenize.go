@@ -5,6 +5,7 @@ package text
 
 import (
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -14,78 +15,187 @@ import (
 // token); everything else separates tokens.
 //
 // Pure-ASCII input (the overwhelmingly common case for review text)
-// takes a byte-wise fast path that slices tokens straight out of s —
-// no []rune conversion, no per-rune builder writes, and zero
-// allocations per token unless the token contains an uppercase letter.
-// Any non-ASCII byte falls back to the rune-exact path; both paths
-// produce identical output on ASCII input.
+// runs on ScanASCII: tokens are sliced straight out of s, with zero
+// allocations per token unless it contains an uppercase letter. Input
+// with any non-ASCII byte falls back to the rune-exact path; both
+// paths produce identical output on ASCII input.
 func Tokenize(s string) []string {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return tokenizeRunes(s)
-		}
+	sc := scanPool.Get().(*Scan)
+	defer scanPool.Put(sc)
+	if !sc.ScanASCII(s) {
+		return tokenizeRunes(s)
 	}
-	return tokenizeASCII(s)
-}
-
-func isASCIILetter(c byte) bool {
-	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isASCIIAlnum(c byte) bool {
-	return isASCIILetter(c) || (c >= '0' && c <= '9')
-}
-
-// tokenizeASCII is the byte-wise fast path. Tokens with no uppercase
-// letters are substrings of s (alloc-free); others are lowered through
-// a single reused buffer.
-func tokenizeASCII(s string) []string {
-	var tokens []string // lazily sized on first flush; nil when no tokens
-	var buf []byte      // lazily sized; reused across uppercase tokens
-	start := -1         // current token start in s; -1 when between tokens
-	hasUpper := false
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		if tokens == nil {
-			tokens = make([]string, 0, len(s)/6+1)
-		}
-		if hasUpper {
-			buf = buf[:0]
-			for k := start; k < end; k++ {
-				c := s[k]
-				if c >= 'A' && c <= 'Z' {
-					c |= 0x20
-				}
-				buf = append(buf, c)
-			}
-			tokens = append(tokens, string(buf))
-		} else {
-			tokens = append(tokens, s[start:end])
-		}
-		start = -1
-		hasUpper = false
+	if len(sc.Tokens) == 0 {
+		return nil
 	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case isASCIIAlnum(c):
-			if start < 0 {
-				start = i
-			}
-			if c >= 'A' && c <= 'Z' {
-				hasUpper = true
-			}
-		case (c == '\'' || c == '-') && start >= 0 && i+1 < len(s) && isASCIILetter(s[i+1]):
-			// Internal apostrophe/hyphen: stays part of the token.
-		default:
-			flush(i)
+	tokens := make([]string, len(sc.Tokens))
+	var buf []byte // reused across uppercase tokens
+	for i, t := range sc.Tokens {
+		if !t.Upper {
+			tokens[i] = s[t.Start:t.End]
+			continue
 		}
+		buf = AppendLowerASCII(buf[:0], s[t.Start:t.End])
+		tokens[i] = string(buf)
 	}
-	flush(len(s))
 	return tokens
 }
+
+// AppendLowerASCII appends s to dst with ASCII uppercase letters
+// lowered: the lowercase form of an ASCII token.
+func AppendLowerASCII(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'A' && c <= 'Z' {
+			c |= 0x20
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// Byte classes of the ASCII scan.
+const (
+	classLetter uint8 = 1 << iota
+	classDigit
+	classUpper
+)
+
+// asciiClass classifies each byte; bytes outside letters and digits,
+// non-ASCII ones included, have no class.
+var asciiClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = classLetter
+		t[c-'a'+'A'] = classLetter | classUpper
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = classDigit
+	}
+	return t
+}()
+
+func isASCIILetter(c byte) bool { return asciiClass[c]&classLetter != 0 }
+
+func isASCIIDigit(c byte) bool { return asciiClass[c]&classDigit != 0 }
+
+// Token is one token's byte span [Start, End) in scanned text. Upper
+// reports an ASCII uppercase letter in the span, so the token's
+// lowercase form is the span itself exactly when Upper is false.
+type Token struct {
+	Start, End int
+	Upper      bool
+}
+
+// Sentence is one trimmed sentence's byte span [Start, End) in scanned
+// text; its tokens are the scan's Tokens[TokStart:TokEnd].
+type Sentence struct {
+	Start, End       int
+	TokStart, TokEnd int
+}
+
+// Scan holds the sentences and tokens of one ASCII text. ScanASCII
+// reuses its slices, so one Scan serves many texts.
+type Scan struct {
+	Sentences []Sentence
+	Tokens    []Token
+}
+
+// scanPool recycles the Scans behind Tokenize and SplitSentences.
+var scanPool = sync.Pool{New: func() any { return new(Scan) }}
+
+// ScanASCII walks s once and records its sentences and their tokens:
+// the sentences are SplitSentences(s) as spans of s, and each
+// sentence's tokens are the spans of Tokenize of that sentence. This
+// is the only place the ASCII sentence and token rules live. Every
+// sentence terminator also separates tokens, so no token crosses a
+// sentence boundary. It reports false, with sc's contents unspecified,
+// when s has a non-ASCII byte; the rune-exact paths handle such text.
+func (sc *Scan) ScanASCII(s string) bool {
+	sc.Sentences = sc.Sentences[:0]
+	sc.Tokens = sc.Tokens[:0]
+	start := 0        // current sentence's start in s
+	tok := -1         // current token's start in s; -1 when between tokens
+	var classes uint8 // union of the current token's byte classes
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if k := asciiClass[c]; k != 0 {
+			if tok < 0 {
+				tok = i
+			}
+			classes |= k
+			continue
+		}
+		if c >= 0x80 {
+			return false
+		}
+		if (c == '\'' || c == '-') && tok >= 0 && i+1 < len(s) && isASCIILetter(s[i+1]) {
+			// Internal apostrophe/hyphen: stays part of the token.
+			continue
+		}
+		if tok >= 0 {
+			sc.Tokens = append(sc.Tokens, Token{Start: tok, End: i, Upper: classes&classUpper != 0})
+			tok, classes = -1, 0
+		}
+		switch c {
+		case '\n':
+			start = sc.sentence(s, start, i+1)
+		case '!', '?':
+			// Absorb runs like "!!" or "?!".
+			j := i
+			for j+1 < len(s) && (s[j+1] == '!' || s[j+1] == '?') {
+				j++
+			}
+			start = sc.sentence(s, start, j+1)
+			i = j
+		case '.':
+			// Decimal number: 3.5
+			if i > 0 && i+1 < len(s) && isASCIIDigit(s[i-1]) && isASCIIDigit(s[i+1]) {
+				continue
+			}
+			// Ellipsis: treat "..." as one terminator.
+			j := i
+			for j+1 < len(s) && s[j+1] == '.' {
+				j++
+			}
+			word := trailingWordASCII(s[start:i])
+			if j == i && (isAbbrevFold(word) || isInitialASCII(word)) {
+				continue
+			}
+			start = sc.sentence(s, start, j+1)
+			i = j
+		}
+	}
+	if tok >= 0 {
+		sc.Tokens = append(sc.Tokens, Token{Start: tok, End: len(s), Upper: classes&classUpper != 0})
+	}
+	sc.sentence(s, start, len(s))
+	return true
+}
+
+// sentence records s[start:end], trimmed of white space, as a sentence
+// when anything is left, and returns end: the next sentence's start.
+// Its tokens are those recorded since the previous sentence, because
+// white space holds no token.
+func (sc *Scan) sentence(s string, start, end int) int {
+	a, b := start, end
+	for a < b && asciiSpace[s[a]] {
+		a++
+	}
+	for b > a && asciiSpace[s[b-1]] {
+		b--
+	}
+	if a < b {
+		from := 0
+		if n := len(sc.Sentences); n > 0 {
+			from = sc.Sentences[n-1].TokEnd
+		}
+		sc.Sentences = append(sc.Sentences, Sentence{Start: a, End: b, TokStart: from, TokEnd: len(sc.Tokens)})
+	}
+	return end
+}
+
+// asciiSpace is the ASCII white space strings.TrimSpace removes.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // tokenizeRunes is the rune-exact reference path, used whenever the
 // input contains a non-ASCII byte.
@@ -127,64 +237,25 @@ var abbreviations = map[string]bool{
 // decimal number). Newlines also terminate sentences, which matches
 // how review sites render paragraphs.
 //
-// Pure-ASCII input takes a byte-wise fast path whose emitted sentences
-// are trimmed substrings of s — the only allocations are the result
-// slice's growth. Non-ASCII input falls back to the rune-exact path;
-// both produce identical output on ASCII input.
+// Pure-ASCII input runs on ScanASCII, and the emitted sentences are
+// trimmed substrings of s — the only allocation is the result slice.
+// Non-ASCII input falls back to the rune-exact path; both produce
+// identical output on ASCII input.
 func SplitSentences(s string) []string {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return splitSentencesRunes(s)
-		}
+	sc := scanPool.Get().(*Scan)
+	defer scanPool.Put(sc)
+	if !sc.ScanASCII(s) {
+		return splitSentencesRunes(s)
 	}
-	return splitSentencesASCII(s)
-}
-
-func splitSentencesASCII(s string) []string {
-	var out []string
-	start := 0
-	emit := func(end int) {
-		seg := strings.TrimSpace(s[start:end])
-		if seg != "" {
-			out = append(out, seg)
-		}
-		start = end
+	if len(sc.Sentences) == 0 {
+		return nil
 	}
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\n':
-			emit(i + 1)
-		case '!', '?':
-			// Absorb runs like "!!" or "?!".
-			j := i
-			for j+1 < len(s) && (s[j+1] == '!' || s[j+1] == '?') {
-				j++
-			}
-			emit(j + 1)
-			i = j
-		case '.':
-			// Decimal number: 3.5
-			if i > 0 && i+1 < len(s) && isASCIIDigit(s[i-1]) && isASCIIDigit(s[i+1]) {
-				continue
-			}
-			// Ellipsis: treat "..." as one terminator.
-			j := i
-			for j+1 < len(s) && s[j+1] == '.' {
-				j++
-			}
-			word := trailingWordASCII(s[start:i])
-			if j == i && (isAbbrevFold(word) || isInitialASCII(word)) {
-				continue
-			}
-			emit(j + 1)
-			i = j
-		}
+	out := make([]string, len(sc.Sentences))
+	for i, st := range sc.Sentences {
+		out[i] = s[st.Start:st.End]
 	}
-	emit(len(s))
 	return out
 }
-
-func isASCIIDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // trailingWordASCII is trailingWord over a byte string: the word
 // (letters and internal periods, for "e.g") immediately preceding the

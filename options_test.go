@@ -1,6 +1,9 @@
 package osars
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -115,5 +118,66 @@ func TestSummarizeWithOptionsErrors(t *testing.T) {
 	}
 	if _, err := s.SummarizeWithOptions(item, Options{K: 1, Method: Method(77), QuantizeGrid: 0.05, Granularity: Pairs}); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+}
+
+// TestNewSummaryRendersSelection checks the renderer, which walks the
+// reviews to the selected units, against the flattened corpus: pairs,
+// sentence texts and review IDs in selection order, for random
+// unsorted selections of every size at every granularity, and for the
+// representatives QuantizeGrid maps its selections back to.
+func TestNewSummaryRendersSelection(t *testing.T) {
+	s := testSummarizer(t)
+	var reviews []Review
+	for i := 0; i < 6; i++ {
+		for _, r := range testReviews() {
+			r.ID = fmt.Sprintf("%s-%d", r.ID, i)
+			reviews = append(reviews, r)
+		}
+	}
+	item := s.AnnotateItem("p1", "Phone", reviews)
+	pairs := item.Pairs()
+	if item.NumPairs() != len(pairs) {
+		t.Fatalf("NumPairs = %d, len(Pairs()) = %d", item.NumPairs(), len(pairs))
+	}
+	var texts []string
+	for ri := range item.Reviews {
+		for si := range item.Reviews[ri].Sentences {
+			texts = append(texts, item.Reviews[ri].Sentences[si].Text)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range []Granularity{Pairs, Sentences, Reviews} {
+		n := map[Granularity]int{Pairs: len(pairs), Sentences: len(texts), Reviews: len(item.Reviews)}[g]
+		for trial := 0; trial < 20; trial++ {
+			sel := rng.Perm(n)[:rng.Intn(n+1)]
+			want := &Summary{Granularity: g, Method: MethodGreedy, Cost: 7, Indices: sel}
+			for _, u := range sel {
+				switch g {
+				case Pairs:
+					want.Pairs = append(want.Pairs, pairs[u])
+				case Sentences:
+					want.Sentences = append(want.Sentences, texts[u])
+				case Reviews:
+					want.ReviewIDs = append(want.ReviewIDs, item.Reviews[u].ID)
+				}
+			}
+			if got := newSummary(item, g, MethodGreedy, 7, sel); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v trial %d: rendered %+v, want %+v", g, trial, got, want)
+			}
+		}
+	}
+	for _, grid := range []float64{0.05, 0.25, 1} {
+		for k := 1; k <= 12; k++ {
+			sum, err := s.SummarizeWithOptions(item, Options{K: k, Granularity: Pairs, Method: MethodGreedy, QuantizeGrid: grid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, idx := range sum.Indices {
+				if sum.Pairs[i] != pairs[idx] {
+					t.Fatalf("grid %v k %d: pair %d = %v, corpus pair %d = %v", grid, k, i, sum.Pairs[i], idx, pairs[idx])
+				}
+			}
+		}
 	}
 }

@@ -267,38 +267,39 @@ func (s *Summarizer) summarize(metric model.Metric, item *Item, opt Options) (*S
 		sort.Ints(mapped)
 		selected = mapped
 	}
-	out := &Summary{Granularity: opt.Granularity, Method: opt.Method, Cost: res.Cost, Indices: selected}
-	switch opt.Granularity {
+	return newSummary(item, opt.Granularity, opt.Method, res.Cost, selected), nil
+}
+
+// newSummary renders a selection of the item's units at granularity g
+// in selection order. It walks the reviews to the selected units
+// instead of flattening the corpus.
+func newSummary(item *Item, g Granularity, m Method, cost float64, selected []int) *Summary {
+	out := &Summary{Granularity: g, Method: m, Cost: cost, Indices: selected}
+	if len(selected) == 0 {
+		return out
+	}
+	switch g {
 	case Pairs:
-		all := item.Pairs()
-		for _, idx := range selected {
-			out.Pairs = append(out.Pairs, all[idx])
-		}
+		out.Pairs = make([]Pair, len(selected))
+		item.WalkSelected(selected, true, func(i int, s *model.Sentence, off int) {
+			out.Pairs[i] = s.Pairs[off]
+		})
 	case Sentences:
-		texts := sentenceTexts(item)
-		for _, idx := range selected {
-			out.Sentences = append(out.Sentences, texts[idx])
-		}
+		out.Sentences = make([]string, len(selected))
+		item.WalkSelected(selected, false, func(i int, s *model.Sentence, _ int) {
+			out.Sentences[i] = s.Text
+		})
 	case Reviews:
-		for _, idx := range selected {
-			out.ReviewIDs = append(out.ReviewIDs, item.Reviews[idx].ID)
+		out.ReviewIDs = make([]string, len(selected))
+		for i, idx := range selected {
+			out.ReviewIDs[i] = item.Reviews[idx].ID
 		}
 	}
-	return out, nil
+	return out
 }
 
 // DescribePair renders a pair like "screen resolution = +0.75" using
 // the configured ontology.
 func (s *Summarizer) DescribePair(p Pair) string {
 	return fmt.Sprintf("%s = %+.2f", s.metric.Ont.Name(p.Concept), p.Sentiment)
-}
-
-func sentenceTexts(item *Item) []string {
-	var out []string
-	for ri := range item.Reviews {
-		for si := range item.Reviews[ri].Sentences {
-			out = append(out, item.Reviews[ri].Sentences[si].Text)
-		}
-	}
-	return out
 }

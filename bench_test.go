@@ -601,6 +601,31 @@ func BenchmarkColdGreedySentences(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexGreedySentences is the selection layer at the scale
+// of a followed item: GreedyWarm, seeded with its previous selection,
+// on the index-frozen sentences graph of one 1,000-review doctor item
+// (about 5,000 candidates). It must allocate only the Result and its
+// Selected.
+func BenchmarkIndexGreedySentences(b *testing.B) {
+	f := coldFix()
+	cfg := dataset.DoctorConfig(1)
+	cfg.NumItems, cfg.TotalReviews, cfg.MinReviews, cfg.MaxReviews = 1, 1000, 1000, 1000
+	raw := dataset.GenerateWithOntology(cfg, f.ont).Items[0]
+	raws := make([]extract.RawReview, len(raw.Reviews))
+	for i, r := range raw.Reviews {
+		raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
+	}
+	idx := coverage.NewIndex(model.Metric{Ont: f.ont, Epsilon: 0.5}, model.GranularitySentences)
+	idx.Merge(f.pipe.AnnotateItem(raw.ID, raw.Name, raws).Reviews)
+	g := idx.Freeze()
+	prev := summarize.Greedy(g, benchK)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		summarize.GreedyWarm(g, benchK, prev)
+	}
+}
+
 // BenchmarkColdCostOf evaluates a fixed selection against a prebuilt
 // graph — the per-request evaluation path.
 func BenchmarkColdCostOf(b *testing.B) {

@@ -24,7 +24,9 @@
 //
 // The ns/op gate uses -tol; allocs/op gets only a tiny fixed slack
 // (2% and ≥2 absolute — enough to absorb the b.N-dependent fixture
-// mix, small enough to catch any real allocation regression).
+// mix, small enough to catch any real allocation regression). A row
+// measured at a different GOMAXPROCS in the two files fails too: its
+// numbers are not comparable.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -57,14 +60,16 @@ import (
 
 const benchK = 5
 
-// Result is one benchmark's measurement, serialized to JSON. For
-// concurrent benchmarks, Writers is the goroutine count driving the
-// load and GOMAXPROCS the effective processor limit the benchmark ran
-// at (the multi-writer benches raise a floor of benchProcsFloor, so it
-// can exceed the file-level GOMAXPROCS); both are omitted for
-// single-threaded benchmarks, whose ns/op is a plain per-op latency.
-// For Writers > 1, ns/op is wall-time divided by total ops across all
-// writers — aggregate throughput is 1e9/ns_per_op ops/sec. A row
+// Result is one benchmark's measurement, serialized to JSON.
+// GOMAXPROCS is the effective processor limit the benchmark ran at:
+// the multi-writer benches raise a floor of benchProcsFloor, so it can
+// exceed the file-level GOMAXPROCS. Files written before every row
+// recorded it omit it on single-threaded rows, which ran at the
+// file-level value. For concurrent benchmarks, Writers is the
+// goroutine count driving the load; it is omitted for single-threaded
+// benchmarks, whose ns/op is a plain per-op latency. For Writers > 1,
+// ns/op is wall-time divided by total ops across all writers —
+// aggregate throughput is 1e9/ns_per_op ops/sec. A row
 // measured with -count N > 1 is the median run, and Count,
 // NsPerOpMin and NsPerOpMax record the spread; they are omitted for a
 // single run.
@@ -180,6 +185,7 @@ func benches(f *fixture) []bench {
 				summarize.Greedy(g, benchK)
 			}
 		}},
+		{name: "IndexGreedySentences", fn: indexGreedyBench(f)},
 		{name: "ColdCostOf", fn: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.CostOf(sel)
@@ -210,6 +216,31 @@ func benches(f *fixture) []bench {
 		{name: "ColdStoreSummarizeObs", fn: coldStoreSummarizeBench(f, true)},
 		{name: "AppendThenSummarizeCold", fn: appendThenSummarizeBench(f, true)},
 		{name: "AppendThenSummarizeIncremental", fn: appendThenSummarizeBench(f, false)},
+	}
+}
+
+// indexGreedyBench measures the selection layer at the scale of a
+// followed item, mirroring BenchmarkIndexGreedySentences: GreedyWarm,
+// seeded with its previous selection, on the index-frozen sentences
+// graph of one 1,000-review doctor item (about 5,000 candidates, of
+// which the lazy greedy refreshes hundreds per solve). The 70-review
+// item of ColdGreedySentences hides how the heap scales.
+func indexGreedyBench(f *fixture) func(b *testing.B) {
+	cfg := dataset.DoctorConfig(1)
+	cfg.NumItems, cfg.TotalReviews, cfg.MinReviews, cfg.MaxReviews = 1, 1000, 1000, 1000
+	raw := dataset.GenerateWithOntology(cfg, f.met.Ont).Items[0]
+	raws := make([]extract.RawReview, len(raw.Reviews))
+	for i, r := range raw.Reviews {
+		raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
+	}
+	idx := coverage.NewIndex(f.met, model.GranularitySentences)
+	idx.Merge(f.pipe.AnnotateItem(raw.ID, raw.Name, raws).Reviews)
+	g := idx.Freeze()
+	prev := summarize.Greedy(g, benchK)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			summarize.GreedyWarm(g, benchK, prev)
+		}
 	}
 }
 
@@ -761,11 +792,9 @@ func runMode(out string, short bool, only string, count int) error {
 			res.NsPerOpMin = nsPerOp(runs[0])
 			res.NsPerOpMax = nsPerOp(runs[count-1])
 		}
-		if bm.writers > 0 {
-			res.GOMAXPROCS = runtime.GOMAXPROCS(0)
-			if bm.writers > 1 && res.GOMAXPROCS < benchProcsFloor {
-				res.GOMAXPROCS = benchProcsFloor
-			}
+		res.GOMAXPROCS = runtime.GOMAXPROCS(0)
+		if bm.writers > 1 && res.GOMAXPROCS < benchProcsFloor {
+			res.GOMAXPROCS = benchProcsFloor
 		}
 		file.Benchmarks = append(file.Benchmarks, res)
 		fmt.Printf("%-22s %10d iters  %12.0f ns/op  %8d B/op  %6d allocs/op",
@@ -806,7 +835,15 @@ func load(path string) (*File, error) {
 	return &f, nil
 }
 
-func compareMode(oldPath, newPath string, tol float64) error {
+// procs returns the GOMAXPROCS row r of file f ran at.
+func (f *File) procs(r Result) int {
+	if r.GOMAXPROCS > 0 {
+		return r.GOMAXPROCS
+	}
+	return f.GOMAXPROCS
+}
+
+func compareMode(w io.Writer, oldPath, newPath string, tol float64) error {
 	oldF, err := load(oldPath)
 	if err != nil {
 		return err
@@ -820,11 +857,11 @@ func compareMode(oldPath, newPath string, tol float64) error {
 		oldBy[r.Name] = r
 	}
 	failed := false
-	fmt.Printf("%-22s %14s %14s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "verdict")
+	fmt.Fprintf(w, "%-22s %14s %14s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "verdict")
 	for _, n := range newF.Benchmarks {
 		o, ok := oldBy[n.Name]
 		if !ok {
-			fmt.Printf("%-22s %14s %14.0f %8s  new\n", n.Name, "-", n.NsPerOp, "-")
+			fmt.Fprintf(w, "%-22s %14s %14.0f %8s  new\n", n.Name, "-", n.NsPerOp, "-")
 			continue
 		}
 		delete(oldBy, n.Name)
@@ -844,16 +881,20 @@ func compareMode(oldPath, newPath string, tol float64) error {
 			verdict = fmt.Sprintf("FAIL (allocs %d -> %d)", o.AllocsPerOp, n.AllocsPerOp)
 			failed = true
 		}
-		fmt.Printf("%-22s %14.0f %14.0f %+7.1f%%  %s\n", n.Name, o.NsPerOp, n.NsPerOp, ratio*100, verdict)
+		if op, np := oldF.procs(o), newF.procs(n); op != np {
+			verdict = fmt.Sprintf("FAIL (gomaxprocs %d -> %d)", op, np)
+			failed = true
+		}
+		fmt.Fprintf(w, "%-22s %14.0f %14.0f %+7.1f%%  %s\n", n.Name, o.NsPerOp, n.NsPerOp, ratio*100, verdict)
 	}
 	for name := range oldBy {
-		fmt.Printf("%-22s missing from %s\n", name, newPath)
+		fmt.Fprintf(w, "%-22s missing from %s\n", name, newPath)
 		failed = true
 	}
 	if failed {
-		return fmt.Errorf("benchmark regression beyond tolerance %.0f%%", tol*100)
+		return fmt.Errorf("benchmark regression beyond tolerance %.0f%%, or rows not comparable", tol*100)
 	}
-	fmt.Println("all benchmarks within tolerance")
+	fmt.Fprintln(w, "all benchmarks within tolerance")
 	return nil
 }
 
@@ -873,7 +914,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: osars-bench -compare OLD.json NEW.json [-tol 0.25]")
 			os.Exit(2)
 		}
-		err = compareMode(flag.Arg(0), flag.Arg(1), *tol)
+		err = compareMode(os.Stdout, flag.Arg(0), flag.Arg(1), *tol)
 	} else {
 		err = runMode(*out, *short, *only, *count)
 	}

@@ -17,13 +17,14 @@ package summarize
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
 	"osars/internal/coverage"
 	"osars/internal/lp"
-	"osars/internal/pq"
 )
 
 // Result is a computed summary: the selected candidate indices (in
@@ -51,13 +52,12 @@ func checkK(g *coverage.Graph, k int) {
 }
 
 // greedyScratch is the pooled per-solve state of GreedyWarm: the
-// current pair distances, the initial key vector and the heap. Slices
-// grow monotonically and are reused across solves, so a server solving
-// cache misses in a loop allocates only the returned Result.
+// current pair distances and the heap. Slices grow geometrically and
+// are reused across solves, so a server solving cache misses in a
+// loop, even on a growing item, allocates only the returned Result.
 type greedyScratch struct {
 	curDist []int32
-	keys    []float64
-	heap    *pq.Max
+	heap    []uint64
 }
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
@@ -75,33 +75,44 @@ func Greedy(g *coverage.Graph, k int) *Result {
 // accelerated greedy, CELF in Leskovec et al., KDD 2007), optionally
 // checked against a previous selection.
 //
+//   - Heap entries: one uint64 per candidate u, gain<<idBits |
+//     (idMask−u), with idBits = bits.Len(n). Gains are integers, so
+//     comparing entries as unsigned integers orders them by larger gain
+//     first and then by smaller index: the order of Algorithm 2's
+//     tie-break. No gain exceeds C0 = Σ_w Weight[w]·RootDist[w], the
+//     cost of the empty summary; when C0 and the index do not fit in
+//     one word together (packBits), the solve falls back to
+//     GreedyRebuild, which makes the same selection.
 //   - Key initialization: when the graph carries maintained initial
 //     gains (Graph.InitGains, present on index-frozen graphs), the
 //     O(|E|) initialization scan becomes an O(|U|) copy.
-//   - Selection: stored heap keys are upper bounds — a candidate's
-//     gain only shrinks as F grows (submodularity), and keys are only
-//     ever set to a formerly exact gain. Pop the max, recompute its
-//     exact gain over its covered row; if the gain still equals the
-//     stored key the pop is the true argmax and is selected, otherwise
-//     the candidate is pushed back with the refreshed key. No other
-//     key is touched, so the backward adjacency is never walked.
+//   - Selection: stored gains are upper bounds — a candidate's gain
+//     only shrinks as F grows (submodularity), and stored gains are
+//     only ever set to a formerly exact gain. Read the root entry and
+//     recompute its candidate's exact gain over its covered row; if
+//     the gain still equals the stored one the root is the true argmax
+//     and is selected and removed, otherwise the root is overwritten
+//     with the refreshed entry and sifted down. No other entry is
+//     touched, so the backward adjacency is never walked.
 //
 // The selection equals Algorithm 2's eager form (which updates the
 // keys of the picked candidate's neighbors-of-neighbors after every
-// pick) on every input, ties included: a fresh pop's key bounds every
-// other stored key and therefore every other true gain, so its
+// pick) on every input, ties included: a fresh root's gain bounds
+// every other stored gain and therefore every other true gain, so its
 // candidate has maximal gain; and an equal-gain candidate with a
-// smaller index either sits fresh in the heap (the heap breaks key
-// ties by smaller index, so it pops first) or sits stale with a larger
-// key (it pops even earlier, refreshes to the tied key, reinserts, and
-// again wins the index tie-break). Equivalence is fuzzed against
-// GreedyRebuild across batch-, index- and real-ontology graphs.
+// smaller index either sits fresh in the heap (its entry is larger, so
+// it reaches the root first) or sits stale with a larger gain (it
+// reaches the root even earlier, refreshes to the tied gain, and again
+// wins on the index bits). Entries are distinct, so the order in which
+// candidates reach the root depends only on the set of entries, not on
+// the heap's layout. Equivalence is fuzzed against GreedyRebuild
+// across batch-, index- and real-ontology graphs.
 //
 // prev — the previous solve's selection at the same (k, granularity)
 // — is compared step by step; warm reports whether it survived the
-// corpus delta. A false return (nil prev, shorter prev, or a
-// divergence caused by the delta) is the fallback case the store
-// counts, not a different answer.
+// corpus delta. A false return (nil prev, shorter prev, a divergence
+// caused by the delta, or the GreedyRebuild fallback) is the case the
+// store counts, not a different answer.
 func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool) {
 	checkK(g, k)
 	n := g.NumCandidates
@@ -109,69 +120,50 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 	s := greedyPool.Get().(*greedyScratch)
 	defer greedyPool.Put(s)
 
-	if cap(s.curDist) < len(g.Pairs) {
-		s.curDist = make([]int32, len(g.Pairs))
+	s.curDist = slices.Grow(s.curDist[:0], len(g.Pairs))[:len(g.Pairs)]
+	curDist := s.curDist
+	c0 := 0
+	for w, d := range g.RootDist {
+		curDist[w] = d
+		c0 += int(d) * int(g.Weight[w])
 	}
-	curDist := s.curDist[:len(g.Pairs)]
-	copy(curDist, g.RootDist)
+	idBits, ok := packBits(uint64(c0), n)
+	if !ok {
+		return GreedyRebuild(g, k), false
+	}
 
-	if cap(s.keys) < n {
-		s.keys = make([]float64, n)
-	}
-	keys := s.keys[:n]
+	s.heap = slices.Grow(s.heap[:0], n)[:n]
+	h := s.heap
 	if gains := g.InitGains(); gains != nil {
-		// Index-frozen graph: the initial keys, weights included, were
+		// Index-frozen graph: the initial gains, weights included, were
 		// maintained at merge time.
-		for u := 0; u < n; u++ {
-			keys[u] = float64(gains[u])
+		for u, gain := range gains[:n] {
+			h[u] = entry(int(gain), u, idBits)
 		}
 	} else {
-		for u := 0; u < n; u++ {
-			gain := 0
-			pairsRow, distsRow := g.CoveredRow(u)
-			for i, w := range pairsRow {
-				if diff := curDist[w] - distsRow[i]; diff > 0 {
-					gain += int(diff) * int(g.Weight[w])
-				}
-			}
-			keys[u] = float64(gain)
+		for u := range h {
+			h[u] = entry(gainOf(g, curDist, u), u, idBits)
 		}
 	}
-	if s.heap == nil {
-		s.heap = pq.NewMax(n)
-	} else {
-		s.heap.Reset(n)
-	}
-	heap := s.heap
-	heap.BuildFrom(keys)
+	heapify(h)
 
 	warm = prev != nil && len(prev.Selected) >= k
 	res = &Result{Selected: make([]int, 0, k)}
 	for len(res.Selected) < k {
-		u, key := heap.PopMax()
-		// Exact gain of u against the current distances. Gains are
-		// integers, keys are exact float64 images of integers, so the
-		// freshness test is an exact comparison, not a tolerance.
-		gain := 0
-		pairsRow, distsRow := g.CoveredRow(u)
-		for i, w := range pairsRow {
-			if diff := curDist[w] - distsRow[i]; diff > 0 {
-				gain += int(diff) * int(g.Weight[w])
-			}
-		}
-		if float64(gain) != key {
-			heap.Push(u, float64(gain))
+		// Exact gain of the root's candidate, packed like the stored
+		// entry, so the freshness test is one comparison.
+		u := candidate(h[0], idBits)
+		if e := entry(gainOf(g, curDist, u), u, idBits); e != h[0] {
+			h[0] = e
+			siftDown(h, 0)
 			continue
 		}
+		h = popMax(h)
 		if warm && prev.Selected[len(res.Selected)] != u {
 			warm = false
 		}
 		res.Selected = append(res.Selected, u)
-		for i, w := range pairsRow {
-			if d := distsRow[i]; d < curDist[w] {
-				curDist[w] = d
-			}
-		}
+		cover(g, curDist, u)
 	}
 	total := 0
 	for w, d := range curDist {
@@ -181,11 +173,96 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 	return res, warm
 }
 
+// gainOf returns δ(u, F): how much adding candidate u lowers the cost
+// of the selection F whose per-target distances are curDist.
+func gainOf(g *coverage.Graph, curDist []int32, u int) int {
+	gain := 0
+	pairsRow, distsRow := g.CoveredRow(u)
+	for i, w := range pairsRow {
+		if diff := curDist[w] - distsRow[i]; diff > 0 {
+			gain += int(diff) * int(g.Weight[w])
+		}
+	}
+	return gain
+}
+
+// cover adds candidate u to the selection whose per-target distances
+// are curDist.
+func cover(g *coverage.Graph, curDist []int32, u int) {
+	pairsRow, distsRow := g.CoveredRow(u)
+	for i, w := range pairsRow {
+		if d := distsRow[i]; d < curDist[w] {
+			curDist[w] = d
+		}
+	}
+}
+
+// packBits returns the number of low bits a heap entry spends on the
+// candidate index for n candidates, and whether gains up to c0 fit in
+// the bits above them.
+func packBits(c0 uint64, n int) (idBits uint, ok bool) {
+	idBits = uint(bits.Len(uint(n)))
+	return idBits, uint(bits.Len64(c0))+idBits <= 64
+}
+
+// entry packs candidate u's gain into a heap word: the gain above
+// idBits low bits that hold the complement of u, so larger words have
+// larger gains and, among equal gains, smaller indices.
+func entry(gain, u int, idBits uint) uint64 {
+	return uint64(gain)<<idBits | (1<<idBits - 1 - uint64(u))
+}
+
+// candidate returns the candidate index packed into entry e.
+func candidate(e uint64, idBits uint) int {
+	mask := uint64(1)<<idBits - 1
+	return int(mask - e&mask)
+}
+
+// heapify arranges h into a max-heap in O(len(h)) (Floyd).
+func heapify(h []uint64) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// popMax removes the largest entry, h[0], from the max-heap h and
+// returns the shortened heap.
+func popMax(h []uint64) []uint64 {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	if last > 0 {
+		siftDown(h, 0)
+	}
+	return h
+}
+
+// siftDown moves h[i] down until no child of it is larger.
+func siftDown(h []uint64, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[c] <= x {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
 // GreedyRebuild is the reference implementation of Greedy (DESIGN.md
 // ablation 1): instead of refreshing heap keys lazily it recomputes
 // every candidate's gain after each selection and takes the first
 // maximum. Same output, asymptotically slower; the equivalence tests
-// compare Greedy against it.
+// compare Greedy against it, and GreedyWarm falls back to it when a
+// graph's gains are too large to pack.
 func GreedyRebuild(g *coverage.Graph, k int) *Result {
 	checkK(g, k)
 	n := g.NumCandidates
@@ -194,30 +271,18 @@ func GreedyRebuild(g *coverage.Graph, k int) *Result {
 	selected := make([]bool, n)
 	res := &Result{Selected: make([]int, 0, k)}
 	for len(res.Selected) < k {
-		bestU, bestGain := -1, -1.0
+		bestU, bestGain := -1, -1
 		for u := 0; u < n; u++ {
 			if selected[u] {
 				continue
 			}
-			gain := 0.0
-			g.Covered(u, func(w, d int) bool {
-				if diff := int(curDist[w]) - d; diff > 0 {
-					gain += float64(diff * int(g.Weight[w]))
-				}
-				return true
-			})
-			if gain > bestGain {
+			if gain := gainOf(g, curDist, u); gain > bestGain {
 				bestU, bestGain = u, gain
 			}
 		}
 		selected[bestU] = true
 		res.Selected = append(res.Selected, bestU)
-		g.Covered(bestU, func(w, d int) bool {
-			if int32(d) < curDist[w] {
-				curDist[w] = int32(d)
-			}
-			return true
-		})
+		cover(g, curDist, bestU)
 	}
 	total := 0
 	for w, d := range curDist {

@@ -1,6 +1,7 @@
 package summarize
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -155,6 +156,62 @@ func TestGreedyMatchesRebuildOnDoctorItems(t *testing.T) {
 						n, gran, k, got.Selected, got.Cost, want.Selected, want.Cost)
 				}
 			}
+		}
+	}
+}
+
+// TestGreedyExactLargeGains pins exact integer gains above 2^53, where
+// float64 rounds two different gains to one value. Two candidates each
+// cover only their own target, at distance 0, so a candidate's gain is
+// its target's Weight·RootDist; index 1's gain is larger by one, and
+// Algorithm 2 picks it first. The first graph's gains pack into heap
+// entries; the second's empty-summary cost needs 63 bits, which leaves
+// too few for two candidates' index bits, so GreedyWarm falls back to
+// GreedyRebuild.
+func TestGreedyExactLargeGains(t *testing.T) {
+	var bld ontology.Builder
+	root := bld.AddConcept("root")
+	a := bld.Child(root, "a")
+	bc := bld.Child(root, "b")
+	o, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		dist, weight [2]int32
+		packs        bool
+	}{
+		// 2^27·(2^27+2) and (2^27+1)^2.
+		{"packed", [2]int32{1 << 27, 1<<27 + 1}, [2]int32{1<<27 + 2, 1<<27 + 1}, true},
+		// (2^31−3)(2^31−1) and (2^31−2)^2.
+		{"fallback", [2]int32{1<<31 - 3, 1<<31 - 2}, [2]int32{1<<31 - 1, 1<<31 - 2}, false},
+	} {
+		g := coverage.BuildPairs(model.Metric{Ont: o, Epsilon: 0.1}, []model.Pair{{Concept: a}, {Concept: bc}})
+		for u := 0; u < 2; u++ {
+			if pairs, dists := g.CoveredRow(u); len(pairs) != 1 || pairs[0] != int32(u) || dists[0] != 0 {
+				t.Fatalf("%s: candidate %d covers %v at %v, want only target %d at 0", tc.name, u, pairs, dists, u)
+			}
+		}
+		copy(g.RootDist, tc.dist[:])
+		copy(g.Weight, tc.weight[:])
+		gain0 := int(tc.dist[0]) * int(tc.weight[0])
+		gain1 := int(tc.dist[1]) * int(tc.weight[1])
+		if gain1 != gain0+1 || float64(gain1) != float64(gain0) {
+			t.Fatalf("%s: gains %d, %d are not one apart and equal in float64", tc.name, gain0, gain1)
+		}
+		if _, ok := packBits(uint64(gain0+gain1), 2); ok != tc.packs {
+			t.Fatalf("%s: packBits = %v, want %v", tc.name, ok, tc.packs)
+		}
+		for _, want := range []*Result{
+			{Selected: []int{1}, Cost: float64(gain0)},
+			{Selected: []int{1, 0}, Cost: 0},
+		} {
+			k := len(want.Selected)
+			warm, _ := GreedyWarm(g, k, nil)
+			requireSameResult(t, Greedy(g, k), want, fmt.Sprintf("%s/Greedy/k=%d", tc.name, k))
+			requireSameResult(t, warm, want, fmt.Sprintf("%s/GreedyWarm/k=%d", tc.name, k))
+			requireSameResult(t, GreedyRebuild(g, k), want, fmt.Sprintf("%s/GreedyRebuild/k=%d", tc.name, k))
 		}
 	}
 }

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"osars/internal/coverage"
+	"osars/internal/dataset"
+	"osars/internal/extract"
 	"osars/internal/model"
 	"osars/internal/ontology"
+	"osars/internal/sentiment"
 )
 
 // requireSameResult asserts two greedy results are identical in
@@ -146,5 +149,70 @@ func TestGreedyWarmHitSemantics(t *testing.T) {
 	}
 	if _, hit := GreedyWarm(g, k, cold); !hit {
 		t.Fatal("replaying the exact previous selection was not a hit")
+	}
+}
+
+// TestGreedyWarmMatchesRebuildOnIndexedDoctorItem runs the incremental
+// guarantee at the scale of a followed item, where the lazy greedy
+// refreshes hundreds of candidates per solve: a 1,020-review doctor
+// item merges into an index in 100-review chunks and then one review
+// at a time. After every merge, at every granularity and k ∈ {1, 5,
+// 20}, warm-start greedy on the frozen graph, seeded with its previous
+// result, must equal GreedyRebuild on a from-scratch build. A 43-review
+// item then runs k = NumCandidates, where the heap runs dry and the
+// zero-gain candidates fill in by smallest index.
+func TestGreedyWarmMatchesRebuildOnIndexedDoctorItem(t *testing.T) {
+	ont := dataset.MedicalOntology(dataset.MedicalOntologyConfig{Seed: 1})
+	metric := model.Metric{Ont: ont, Epsilon: 0.5}
+	pipe := extract.NewPipeline(extract.NewMatcher(ont), sentiment.Lexicon{})
+	doctorItem := func(n int) *model.Item {
+		cfg := dataset.DoctorConfig(1)
+		cfg.NumItems, cfg.TotalReviews, cfg.MinReviews, cfg.MaxReviews = 1, n, n, n
+		raw := dataset.GenerateWithOntology(cfg, ont).Items[0]
+		raws := make([]extract.RawReview, len(raw.Reviews))
+		for i, r := range raw.Reviews {
+			raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
+		}
+		return pipe.AnnotateItem(raw.ID, raw.Name, raws)
+	}
+	grans := []model.Granularity{
+		model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
+	}
+
+	item := doctorItem(1020)
+	var cuts []int
+	for n := 100; n <= 1000; n += 100 {
+		cuts = append(cuts, n)
+	}
+	for n := 1001; n <= len(item.Reviews); n++ {
+		cuts = append(cuts, n)
+	}
+	for _, gran := range grans {
+		idx := coverage.NewIndex(metric, gran)
+		prev := map[int]*Result{}
+		merged := 0
+		for _, n := range cuts {
+			idx.Merge(item.Reviews[merged:n])
+			merged = n
+			g := idx.Freeze()
+			coldG := coverage.Build(metric, &model.Item{ID: item.ID, Reviews: item.Reviews[:n]}, gran)
+			for _, k := range []int{1, 5, 20} {
+				warmRes, _ := GreedyWarm(g, k, prev[k])
+				requireSameResult(t, warmRes, GreedyRebuild(coldG, k),
+					fmt.Sprintf("%v/n=%d/k=%d", gran, n, k))
+				prev[k] = warmRes
+			}
+		}
+	}
+
+	small := doctorItem(43)
+	for _, gran := range grans {
+		idx := coverage.NewIndex(metric, gran)
+		idx.Merge(small.Reviews)
+		g := idx.Freeze()
+		k := g.NumCandidates
+		warmRes, _ := GreedyWarm(g, k, nil)
+		requireSameResult(t, warmRes, GreedyRebuild(coverage.Build(metric, small, gran), k),
+			fmt.Sprintf("43 reviews/%v/k=%d", gran, k))
 	}
 }

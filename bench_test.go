@@ -221,25 +221,9 @@ func BenchmarkAblationGreedyHeapRebuild(b *testing.B) {
 	}
 }
 
-// Ablation 2: §4.1 bucket+ancestor-walk initialization vs naive
-// all-pairs distances.
-func BenchmarkAblationInitBucketed(b *testing.B) {
-	f := fixtures()
-	pairs := f.doctorItems[0].Pairs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coverage.BuildPairs(f.doctorM, pairs)
-	}
-}
-
-func BenchmarkAblationInitNaive(b *testing.B) {
-	f := fixtures()
-	pairs := f.doctorItems[0].Pairs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coverage.BuildPairsNaive(f.doctorM, pairs)
-	}
-}
+// Ablation 2 (§4.1 bucket+ancestor-walk initialization vs naive
+// all-pairs distances) lives with its reference builder in
+// internal/coverage/reference_test.go.
 
 // Ablation 3: simplex pivot rule on the k-median LP relaxation.
 func benchSimplexPivot(b *testing.B, bland bool) {
@@ -585,6 +569,23 @@ func BenchmarkColdBuildSentences(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coverage.Build(m, f.items[i%len(f.items)], model.GranularitySentences)
+	}
+}
+
+// BenchmarkColdIndexSentences is the same graph built through the
+// incremental index: NewIndex, one Advance over the whole item and
+// Freeze, the lazy rebuild a store pays on an item's first stored
+// summary. Set against BenchmarkColdBuildSentences, it is why Build
+// stays the builder of the stateless path.
+func BenchmarkColdIndexSentences(b *testing.B) {
+	f := coldFix()
+	m := model.Metric{Ont: f.ont, Epsilon: 0.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := coverage.NewIndex(m, model.GranularitySentences)
+		idx.Advance(f.items[i%len(f.items)])
+		idx.Freeze()
 	}
 }
 

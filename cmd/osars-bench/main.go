@@ -1,8 +1,9 @@
 // Command osars-bench is the cold-path benchmark-regression harness.
 //
 // Run mode (default) measures the cold serving path layer by layer —
-// annotation, stemmed concept matching, coverage-graph build, greedy
-// selection, cost evaluation, and the full end-to-end Summarize — on
+// annotation, stemmed concept matching, coverage-graph build (batch and
+// through the incremental index), greedy selection, cost evaluation,
+// and the full end-to-end Summarize — on
 // the same doctor-review fixture as the BenchmarkCold* benches in
 // bench_test.go, plus the durability tax on ingestion: store appends
 // with the WAL off (StoreAppendMem), WAL on without fsync
@@ -178,6 +179,13 @@ func benches(f *fixture) []bench {
 		{name: "ColdBuildSentences", fn: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				coverage.Build(f.met, f.items[i%len(f.items)], model.GranularitySentences)
+			}
+		}},
+		{name: "ColdIndexSentences", fn: func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				idx := coverage.NewIndex(f.met, model.GranularitySentences)
+				idx.Advance(f.items[i%len(f.items)])
+				idx.Freeze()
 			}
 		}},
 		{name: "ColdGreedySentences", fn: func(b *testing.B) {

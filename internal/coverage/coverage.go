@@ -21,35 +21,34 @@
 // DAGs.) Because the average number of ancestors per concept is small,
 // construction is near-linear in |P|.
 //
-// The production builder consumes the ontology's precomputed ancestor
-// closure (ontology.Ancestors) instead of re-running a BFS per target
-// pair, stores the concept buckets as one counting-sorted CSR block
-// indexed by ConceptID instead of a map of append-lists, and fills the
-// dual CSR adjacency in two exact-size passes with no per-target
-// intermediate lists. All transient build state is recycled through a
-// sync.Pool for server workloads. The original walker-based builder is
-// kept (BuildGroupsWalker / BuildPairsWalker) as the ablation
-// reference; the equivalence tests assert the two produce identical
-// graphs.
+// The builder consumes the ontology's precomputed ancestor closure
+// (ontology.Ancestors) instead of re-running a BFS per target pair,
+// stores the concept buckets as one counting-sorted CSR block indexed
+// by ConceptID instead of a map of append-lists, and scans each
+// target's closure row once, counting-sorting the edges it finds into
+// per-candidate forward rows. All transient build state is recycled
+// through a sync.Pool for server workloads. The original walker-based
+// and naive all-pairs builders are kept in reference_test.go as the
+// ablation references; the equivalence tests assert that they produce
+// identical graphs.
 package coverage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"osars/internal/model"
 	"osars/internal/ontology"
 )
 
-// Graph is the immutable coverage graph. Adjacency is stored in
-// compressed sparse rows in both directions:
+// Graph is the immutable coverage graph. Its adjacency is one forward
+// row per candidate and the transpose of those rows:
 //
-//   - forward:  candidate u → (pair w, distance)
-//   - backward: pair w → (candidate u, distance)
+//   - forward:  candidate u → (pair w, distance), ascending w
+//   - backward: pair w → (candidate u, distance), ascending u
 //
-// plus the per-pair root fallback distance (the depth of the pair's
-// concept), so C(F, P) is computable from the graph alone.
+// It also holds the per-pair root fallback distance (the depth of the
+// pair's concept), so C(F, P) is computable from the graph alone.
 type Graph struct {
 	Metric model.Metric
 	// Pairs is W: the distinct pairs to cover, in order of first
@@ -66,36 +65,21 @@ type Graph struct {
 	// NumCandidates is |U|.
 	NumCandidates int
 
-	fwdIdx  []int32 // len NumCandidates+1
-	fwdPair []int32
-	fwdDist []int32
+	// Forward rows: candidate u covers pairs fwdPair[u] (ascending) at
+	// distances fwdDist[u]. Build windows them out of two flat arrays;
+	// an Index's Freeze aliases the index's own rows (index.go). Every
+	// row is capacity-capped, so nothing appended to one can reach
+	// another row or storage a later merge extends.
+	fwdPair  [][]int32
+	fwdDist  [][]int32
+	numEdges int
 
-	// Backward CSR. Graphs the incremental Index froze (index.go) start
-	// without it and build it once, on first use (buildBackward), from
-	// their candidate groups: candidate u's pairs are
-	// occ[candStart[u]:candStart[u+1]], occ being every pair of P in
-	// candidate order. Batch builders fill it directly and leave occ and
-	// candStart nil.
-	bwdIdx    []int32 // len len(Pairs)+1
-	bwdCand   []int32
-	bwdDist   []int32
-	bwdOnce   sync.Once
-	occ       []model.Pair
-	candStart []int32
-
-	// Row-backed forward adjacency, the alternative representation set
-	// by the incremental Index's Freeze: one slice per candidate instead
-	// of the flat CSR block. Freezing then costs O(|U|) slice-header
-	// copies instead of an O(|E|) array rebuild — the rows alias the
-	// index's append-only storage (capacity-capped, so later merges
-	// reallocate rather than write through). Row contents and order are
-	// identical to the CSR rows Build produces; the forward accessors
-	// branch on rowBacked, so the two representations are
-	// indistinguishable through the API.
-	rowBacked  bool
-	rowEdges   int
-	rowFwdPair [][]int32 // per candidate: covered pair indices, ascending
-	rowFwdDist [][]int32
+	// Backward CSR: the transpose of the forward rows, built once, on
+	// the first backward read (buildBackward).
+	bwdIdx  []int32 // len len(Pairs)+1
+	bwdCand []int32
+	bwdDist []int32
+	bwdOnce sync.Once
 
 	// initGains, when non-nil, is the warm-start seed maintained by the
 	// incremental Index (index.go): initGains[u] = Σ_w max(0,
@@ -118,15 +102,11 @@ type Edge struct {
 }
 
 // NumEdges reports |E|.
-func (g *Graph) NumEdges() int {
-	if g.rowBacked {
-		return g.rowEdges
-	}
-	return len(g.fwdPair)
-}
+func (g *Graph) NumEdges() int { return g.numEdges }
 
-// Covered calls fn for every pair covered by candidate u, with the
-// Definition-1 distance. Iteration stops early if fn returns false.
+// Covered calls fn for every pair covered by candidate u, in ascending
+// pair order, with the Definition-1 distance. Iteration stops early if
+// fn returns false.
 func (g *Graph) Covered(u int, fn func(w int, dist int) bool) {
 	pairs, dists := g.CoveredRow(u)
 	for i := range pairs {
@@ -136,8 +116,9 @@ func (g *Graph) Covered(u int, fn func(w int, dist int) bool) {
 	}
 }
 
-// Coverers calls fn for every candidate covering pair w, with the
-// Definition-1 distance. Iteration stops early if fn returns false.
+// Coverers calls fn for every candidate covering pair w, in ascending
+// candidate order, with the Definition-1 distance. Iteration stops
+// early if fn returns false.
 func (g *Graph) Coverers(w int, fn func(u int, dist int) bool) {
 	cands, dists := g.CoverersRow(w)
 	for i := range cands {
@@ -148,30 +129,21 @@ func (g *Graph) Coverers(w int, fn func(u int, dist int) bool) {
 }
 
 // Degree returns the number of pairs candidate u covers.
-func (g *Graph) Degree(u int) int {
-	if g.rowBacked {
-		return len(g.rowFwdPair[u])
-	}
-	return int(g.fwdIdx[u+1] - g.fwdIdx[u])
-}
+func (g *Graph) Degree(u int) int { return len(g.fwdPair[u]) }
 
 // CoveredRow returns the forward row of candidate u: the pair indices
-// it covers and the matching Definition-1 distances. The slices alias
-// the graph's storage and must not be modified. This is the
-// allocation- and closure-free counterpart of Covered for hot loops
+// it covers, ascending, and the matching Definition-1 distances. The
+// slices alias the graph's storage and must not be modified. This is
+// the allocation- and closure-free counterpart of Covered for hot loops
 // (the greedy key updates walk these rows directly).
 func (g *Graph) CoveredRow(u int) (pairs, dists []int32) {
-	if g.rowBacked {
-		return g.rowFwdPair[u], g.rowFwdDist[u]
-	}
-	lo, hi := g.fwdIdx[u], g.fwdIdx[u+1]
-	return g.fwdPair[lo:hi], g.fwdDist[lo:hi]
+	return g.fwdPair[u], g.fwdDist[u]
 }
 
 // CoverersRow returns the backward row of pair w: the candidate
-// indices covering it and the matching distances. The slices alias the
-// graph's storage and must not be modified. On a graph an Index froze,
-// the first backward read builds the backward CSR.
+// indices covering it, ascending, and the matching distances. The
+// slices alias the graph's storage and must not be modified. The
+// graph's first backward read builds the backward CSR.
 func (g *Graph) CoverersRow(w int) (cands, dists []int32) {
 	idx, cand, dist := g.backward()
 	lo, hi := idx[w], idx[w+1]
@@ -184,20 +156,31 @@ func (g *Graph) backward() (idx, cand, dist []int32) {
 	return g.bwdIdx, g.bwdCand, g.bwdDist
 }
 
-// buildBackward fills the backward CSR of a graph an Index froze, which
-// carries forward rows only. It runs the batch builder over the
-// graph's own candidate groups, so the rows and their order are
-// Build's by construction. Batch-built graphs already have the CSR.
+// buildBackward transposes the forward rows into the backward CSR by a
+// counting sort on the pair. Candidates are visited in ascending order,
+// so every backward row lists its coverers by ascending candidate.
 func (g *Graph) buildBackward() {
-	if g.bwdIdx != nil {
-		return
+	idx := make([]int32, len(g.Pairs)+1)
+	for _, row := range g.fwdPair {
+		for _, w := range row {
+			idx[w+1]++
+		}
 	}
-	groups := make([][]model.Pair, g.NumCandidates)
-	for u := range groups {
-		groups[u] = g.occ[g.candStart[u]:g.candStart[u+1]]
+	for w := 1; w < len(idx); w++ {
+		idx[w] += idx[w-1]
 	}
-	b := buildClosure(g.Metric, groups, g.Pairs, g.Weight)
-	g.bwdIdx, g.bwdCand, g.bwdDist = b.bwdIdx, b.bwdCand, b.bwdDist
+	next := append([]int32(nil), idx[:len(g.Pairs)]...)
+	cand := make([]int32, g.numEdges)
+	dist := make([]int32, g.numEdges)
+	for u, row := range g.fwdPair {
+		for i, w := range row {
+			pos := next[w]
+			next[w]++
+			cand[pos] = int32(u)
+			dist[pos] = g.fwdDist[u][i]
+		}
+	}
+	g.bwdIdx, g.bwdCand, g.bwdDist = idx, cand, dist
 }
 
 // CostScratch holds reusable state for CostOfWith so that repeated
@@ -272,25 +255,6 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("CoverageGraph(|U|=%d, |W|=%d, |E|=%d)", g.NumCandidates, len(g.Pairs), g.NumEdges())
 }
 
-// bucketEntry is one candidate-pair occurrence filed under its concept
-// during the first pass.
-type bucketEntry struct {
-	cand      int32
-	sentiment float64
-}
-
-// builder accumulates edges grouped by target pair before the CSR
-// conversion.
-type builder struct {
-	metric  model.Metric
-	pairs   []model.Pair // the distinct targets
-	weight  []int32      // nil → all ones
-	numCand int
-	// per-target edge lists
-	targetCand [][]int32
-	targetDist [][]int32
-}
-
 // BuildPairs constructs the coverage graph for k-Pairs Coverage: U = P,
 // candidate i is the pair P[i] itself, and W is P's distinct pairs.
 func BuildPairs(m model.Metric, pairs []model.Pair) *Graph {
@@ -352,6 +316,8 @@ func dedupTargets(pairs []model.Pair) (targets []model.Pair, weight []int32) {
 // extracted pairs are still included (they can be selected but cover
 // nothing), preserving candidate indices aligned with sentence order.
 func SentenceGroups(item *model.Item) (groups [][]model.Pair, pairs []model.Pair) {
+	groups = make([][]model.Pair, 0, item.NumSentences())
+	pairs = make([]model.Pair, 0, item.NumPairs())
 	for ri := range item.Reviews {
 		for si := range item.Reviews[ri].Sentences {
 			s := &item.Reviews[ri].Sentences[si]
@@ -363,12 +329,19 @@ func SentenceGroups(item *model.Item) (groups [][]model.Pair, pairs []model.Pair
 }
 
 // ReviewGroups flattens an item into per-review pair groups plus the
-// full pair multiset P, ready for BuildGroups.
+// full pair multiset P, ready for BuildGroups. Each group is a
+// capacity-capped window of P.
 func ReviewGroups(item *model.Item) (groups [][]model.Pair, pairs []model.Pair) {
+	pairs = item.Pairs()
+	groups = make([][]model.Pair, len(item.Reviews))
+	lo := 0
 	for ri := range item.Reviews {
-		g := item.Reviews[ri].Pairs()
-		groups = append(groups, g)
-		pairs = append(pairs, g...)
+		hi := lo
+		for _, s := range item.Reviews[ri].Sentences {
+			hi += len(s.Pairs)
+		}
+		groups[ri] = pairs[lo:hi:hi]
+		lo = hi
 	}
 	return groups, pairs
 }
@@ -398,8 +371,10 @@ type buildScratch struct {
 	bucketIdx  []int32   // len numConcepts+1: bucket CSR offsets
 	bucketCand []int32   // candidate of each occurrence, grouped by concept
 	bucketSent []float64 // sentiment of each occurrence
-	cursor     []int32   // per-concept fill cursor / per-candidate next
-	perW       []int32   // edges counted per target pair
+	cursor     []int32   // per-concept fill cursor
+	edgeCand   []int32   // every edge's candidate, in target order
+	edgePair   []int32   // every edge's target
+	edgeDist   []int32   // every edge's distance
 	candCount  []int32   // edges counted per candidate (+1 shifted)
 	stamp      []uint32  // per-candidate dedup stamps
 	gen        uint32
@@ -436,16 +411,18 @@ func (s *buildScratch) nextGen() uint32 {
 }
 
 // buildClosure is the production §4.1 initialization. It differs from
-// the walker reference in three ways, none observable in the output:
+// the walker reference (reference_test.go) in three ways, none
+// observable in the output:
 //
 //  1. the per-target ancestor BFS is replaced by a read of the
 //     ontology's precomputed closure row (same ancestor set, same BFS
 //     order, same shortest up-distances);
 //  2. the concept buckets are a counting-sorted CSR block indexed by
 //     ConceptID instead of map[ConceptID][]bucketEntry;
-//  3. edges are counted in one pass and written straight into the
-//     exact-size dual CSR in a second, instead of accumulating
-//     per-target [][]int32 append lists that finish() re-copies.
+//  3. the edges are appended to one pooled flat edge list instead of
+//     per-target [][]int32 append lists, and a counting sort by
+//     candidate moves them into two exact-size arrays that the forward
+//     rows window.
 //
 // weight == nil means all multiplicities are 1.
 func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, weight []int32) *Graph {
@@ -464,23 +441,19 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	for i := range bucketIdx {
 		bucketIdx[i] = 0
 	}
-	occ := 0
 	for _, g := range groups {
 		for _, p := range g {
 			bucketIdx[p.Concept+1]++
-			occ++
 		}
 	}
 	for c := 1; c <= numConcepts; c++ {
 		bucketIdx[c] += bucketIdx[c-1]
 	}
+	occ := int(bucketIdx[numConcepts])
 	bucketCand := grow32(s.bucketCand, occ)
 	bucketSent := growF64(s.bucketSent, occ)
 	cursor := grow32(s.cursor, numConcepts)
-	if numCand > numConcepts {
-		cursor = grow32(cursor, numCand) // shared with the fwd fill below
-	}
-	copy(cursor[:numConcepts], bucketIdx[:numConcepts])
+	copy(cursor, bucketIdx[:numConcepts])
 	for u, g := range groups {
 		for _, p := range g {
 			pos := cursor[p.Concept]
@@ -496,12 +469,12 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	}
 	stamp := s.stamp[:numCand]
 
-	// Second pass, count stage: for each target pair, scan its
-	// concept's closure row and probe the buckets, counting edges per
-	// target and per candidate. BFS order in the row gives
+	// Second pass: for each target pair, scan its concept's closure row
+	// and probe the buckets, appending each edge to the edge list and
+	// counting it for its candidate. BFS order in the row gives
 	// non-decreasing distances, so the first qualifying occurrence of a
 	// candidate is its minimum edge weight; the stamp dedups.
-	perW := grow32(s.perW, len(pairs))
+	edgeCand, edgePair, edgeDist := s.edgeCand[:0], s.edgePair[:0], s.edgeDist[:0]
 	candCount := grow32(s.candCount, numCand+1)
 	for i := range candCount {
 		candCount[i] = 0
@@ -509,76 +482,7 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	for w := range pairs {
 		target := &pairs[w]
 		gen := s.nextGen()
-		ids, _ := ont.Ancestors(target.Concept)
-		n := int32(0)
-		for _, anc := range ids {
-			isRoot := anc == root
-			for bi := bucketIdx[anc]; bi < bucketIdx[anc+1]; bi++ {
-				cand := bucketCand[bi]
-				if stamp[cand] == gen {
-					continue
-				}
-				if !isRoot {
-					diff := bucketSent[bi] - target.Sentiment
-					if diff < 0 {
-						diff = -diff
-					}
-					if diff > eps {
-						continue
-					}
-				}
-				stamp[cand] = gen
-				candCount[cand+1]++
-				n++
-			}
-		}
-		perW[w] = n
-	}
-
-	g := &Graph{
-		Metric:        m,
-		Pairs:         pairs,
-		RootDist:      make([]int32, len(pairs)),
-		Weight:        weight,
-		NumCandidates: numCand,
-	}
-	if g.Weight == nil {
-		g.Weight = make([]int32, len(pairs))
-		for w := range g.Weight {
-			g.Weight[w] = 1
-		}
-	}
-	for w := range pairs {
-		g.RootDist[w] = int32(ont.Depth(pairs[w].Concept))
-	}
-
-	// Exact-size dual CSR, offsets from the counts.
-	g.bwdIdx = make([]int32, len(pairs)+1)
-	for w := range pairs {
-		g.bwdIdx[w+1] = g.bwdIdx[w] + perW[w]
-	}
-	total := int(g.bwdIdx[len(pairs)])
-	g.bwdCand = make([]int32, total)
-	g.bwdDist = make([]int32, total)
-	for u := 1; u <= numCand; u++ {
-		candCount[u] += candCount[u-1]
-	}
-	g.fwdIdx = candCount[:numCand+1]
-	// fwdIdx is retained by the Graph, so it must leave the pool.
-	g.fwdIdx = append([]int32(nil), g.fwdIdx...)
-	g.fwdPair = make([]int32, total)
-	g.fwdDist = make([]int32, total)
-
-	// Second pass, fill stage: identical iteration (so identical dedup
-	// decisions and edge order), writing both CSR directions directly.
-	next := grow32(cursor, numCand) // reuse: per-candidate fwd cursor
-	copy(next, g.fwdIdx[:numCand])
-	bp := int32(0)
-	for w := range pairs {
-		target := &pairs[w]
-		gen := s.nextGen()
 		ids, dists := ont.Ancestors(target.Concept)
-		w32 := int32(w)
 		for ai, anc := range ids {
 			isRoot := anc == root
 			d := dists[ai]
@@ -597,189 +501,60 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 					}
 				}
 				stamp[cand] = gen
-				g.bwdCand[bp] = cand
-				g.bwdDist[bp] = d
-				bp++
-				pos := next[cand]
-				next[cand]++
-				g.fwdPair[pos] = w32
-				g.fwdDist[pos] = d
+				edgeCand = append(edgeCand, cand)
+				edgePair = append(edgePair, int32(w))
+				edgeDist = append(edgeDist, d)
+				candCount[cand+1]++
 			}
 		}
+	}
+
+	g := &Graph{
+		Metric:        m,
+		Pairs:         pairs,
+		RootDist:      make([]int32, len(pairs)),
+		Weight:        weight,
+		NumCandidates: numCand,
+		fwdPair:       make([][]int32, numCand),
+		fwdDist:       make([][]int32, numCand),
+		numEdges:      len(edgeCand),
+	}
+	if g.Weight == nil {
+		g.Weight = make([]int32, len(pairs))
+		for w := range g.Weight {
+			g.Weight[w] = 1
+		}
+	}
+	for w := range pairs {
+		g.RootDist[w] = int32(ont.Depth(pairs[w].Concept))
+	}
+
+	// Counting sort by candidate: each row is an empty window of two
+	// exact-size arrays with room for exactly its edges. The edge list
+	// is in target order, so every row comes out ascending.
+	for u := 1; u <= numCand; u++ {
+		candCount[u] += candCount[u-1]
+	}
+	flatPair := make([]int32, len(edgeCand))
+	flatDist := make([]int32, len(edgeCand))
+	for u := range g.fwdPair {
+		lo, hi := candCount[u], candCount[u+1]
+		g.fwdPair[u] = flatPair[lo:lo:hi]
+		g.fwdDist[u] = flatDist[lo:lo:hi]
+	}
+	for i, u := range edgeCand {
+		g.fwdPair[u] = append(g.fwdPair[u], edgePair[i])
+		g.fwdDist[u] = append(g.fwdDist[u], edgeDist[i])
 	}
 
 	// Return the (possibly re-grown) scratch slices to the pool entry.
 	s.bucketIdx = bucketIdx
 	s.bucketCand = bucketCand
 	s.bucketSent = bucketSent
-	s.cursor = next
-	s.perW = perW
-	s.candCount = candCount[:0]
+	s.cursor = cursor
+	s.edgeCand = edgeCand
+	s.edgePair = edgePair
+	s.edgeDist = edgeDist
+	s.candCount = candCount
 	return g
-}
-
-// BuildGroupsWalker is the pre-closure reference builder: per-target
-// AncestorWalker BFS with map-backed buckets and per-target append
-// lists. Kept for the ablation benchmark and the equivalence tests;
-// production code paths use the closure-based builder.
-func BuildGroupsWalker(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
-	targets, weight := dedupTargets(pairs)
-	b := builder{
-		metric:     m,
-		pairs:      targets,
-		weight:     weight,
-		numCand:    len(groups),
-		targetCand: make([][]int32, len(targets)),
-		targetDist: make([][]int32, len(targets)),
-	}
-	fillEdges(&b, groups)
-	return b.finish()
-}
-
-// BuildPairsWalker is BuildPairs through the walker reference builder.
-func BuildPairsWalker(m model.Metric, pairs []model.Pair) *Graph {
-	return BuildGroupsWalker(m, pairGroups(pairs), pairs)
-}
-
-// fillEdges runs the two §4.1 passes, populating the per-target edge
-// lists of the builder.
-func fillEdges(b *builder, groups [][]model.Pair) {
-	m := b.metric
-	pairs := b.pairs
-
-	// First pass (§4.1): bucket candidate pair occurrences by concept.
-	buckets := make(map[ontology.ConceptID][]bucketEntry)
-	for u, g := range groups {
-		for _, p := range g {
-			buckets[p.Concept] = append(buckets[p.Concept], bucketEntry{int32(u), p.Sentiment})
-		}
-	}
-
-	// Second pass: for each target pair, walk ancestors of its concept
-	// and probe buckets. BFS order gives non-decreasing distances, so
-	// the first qualifying occurrence of a candidate yields its
-	// minimum edge weight; a stamp array deduplicates candidates.
-	root := m.Ont.Root()
-	walker := ontology.NewAncestorWalker(m.Ont)
-	stamp := make([]int32, len(groups))
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for w, target := range pairs {
-		w32 := int32(w)
-		walker.Walk(target.Concept, func(anc ontology.ConceptID, dist int) bool {
-			isRoot := anc == root
-			for _, e := range buckets[anc] {
-				if stamp[e.cand] == w32 {
-					continue
-				}
-				if !isRoot {
-					diff := e.sentiment - target.Sentiment
-					if diff < 0 {
-						diff = -diff
-					}
-					if diff > m.Epsilon {
-						continue
-					}
-				}
-				stamp[e.cand] = w32
-				b.targetCand[w] = append(b.targetCand[w], e.cand)
-				b.targetDist[w] = append(b.targetDist[w], int32(dist))
-			}
-			return true
-		})
-	}
-}
-
-// finish converts the per-target edge lists into the dual CSR layout.
-func (b *builder) finish() *Graph {
-	g := &Graph{
-		Metric:        b.metric,
-		Pairs:         b.pairs,
-		RootDist:      make([]int32, len(b.pairs)),
-		Weight:        b.weight,
-		NumCandidates: b.numCand,
-	}
-	if g.Weight == nil {
-		g.Weight = make([]int32, len(b.pairs))
-		for w := range g.Weight {
-			g.Weight[w] = 1
-		}
-	}
-	for w, p := range b.pairs {
-		g.RootDist[w] = int32(b.metric.Ont.Depth(p.Concept))
-	}
-
-	total := 0
-	for w := range b.targetCand {
-		total += len(b.targetCand[w])
-	}
-
-	// Backward CSR: straight copy of the per-target lists.
-	g.bwdIdx = make([]int32, len(b.pairs)+1)
-	g.bwdCand = make([]int32, 0, total)
-	g.bwdDist = make([]int32, 0, total)
-	for w := range b.targetCand {
-		g.bwdIdx[w] = int32(len(g.bwdCand))
-		g.bwdCand = append(g.bwdCand, b.targetCand[w]...)
-		g.bwdDist = append(g.bwdDist, b.targetDist[w]...)
-	}
-	g.bwdIdx[len(b.pairs)] = int32(len(g.bwdCand))
-
-	// Forward CSR: counting sort of the same edges by candidate.
-	counts := make([]int32, b.numCand+1)
-	for w := range b.targetCand {
-		for _, u := range b.targetCand[w] {
-			counts[u+1]++
-		}
-	}
-	for u := 1; u <= b.numCand; u++ {
-		counts[u] += counts[u-1]
-	}
-	g.fwdIdx = counts
-	g.fwdPair = make([]int32, total)
-	g.fwdDist = make([]int32, total)
-	next := make([]int32, b.numCand)
-	for w := range b.targetCand {
-		for i, u := range b.targetCand[w] {
-			pos := g.fwdIdx[u] + next[u]
-			next[u]++
-			g.fwdPair[pos] = int32(w)
-			g.fwdDist[pos] = b.targetDist[w][i]
-		}
-	}
-	return g
-}
-
-// BuildPairsNaive is the ablation reference for the initialization
-// phase: it computes all |P|² Definition-1 distances directly instead
-// of using the bucket + ancestor-walk passes. Used only by tests and
-// the ablation benchmark (DESIGN.md ablation 2).
-func BuildPairsNaive(m model.Metric, pairs []model.Pair) *Graph {
-	targets, weight := dedupTargets(pairs)
-	b := builder{
-		metric:     m,
-		pairs:      targets,
-		weight:     weight,
-		numCand:    len(pairs),
-		targetCand: make([][]int32, len(targets)),
-		targetDist: make([][]int32, len(targets)),
-	}
-	for w, target := range targets {
-		type edge struct{ cand, dist int32 }
-		var edges []edge
-		for u, cand := range pairs {
-			if d := m.PairDistance(cand, target); d < model.Infinite {
-				edges = append(edges, edge{int32(u), int32(d)})
-			}
-		}
-		// Match the walker's non-decreasing-distance edge order so the
-		// two builders produce comparable graphs.
-		sort.SliceStable(edges, func(i, j int) bool { return edges[i].dist < edges[j].dist })
-		for _, e := range edges {
-			b.targetCand[w] = append(b.targetCand[w], e.cand)
-			b.targetDist[w] = append(b.targetDist[w], e.dist)
-		}
-	}
-	return b.finish()
 }

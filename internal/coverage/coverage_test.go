@@ -177,31 +177,47 @@ func TestSentenceAndReviewGroups(t *testing.T) {
 	}
 }
 
+// TestCoverersIsTransposeOfCovered checks that every backward row
+// lists its coverers in ascending candidate order and that the backward
+// rows hold every forward edge exactly once, at the same distance, for
+// Build and index-frozen graphs at every granularity.
 func TestCoverersIsTransposeOfCovered(t *testing.T) {
-	o, ids := phoneOntology(t)
+	o, _ := phoneOntology(t)
 	m := model.Metric{Ont: o, Epsilon: 0.5}
-	rng := rand.New(rand.NewSource(1))
-	var P []model.Pair
-	all := []ontology.ConceptID{ids["phone"], ids["screen"], ids["resolution"], ids["battery"], ids["price"]}
-	for i := 0; i < 50; i++ {
-		P = append(P, model.Pair{Concept: all[rng.Intn(len(all))], Sentiment: math.Round(rng.Float64()*20-10) / 10})
-	}
-	g := BuildPairs(m, P)
-	type key struct{ u, w int }
-	fwd := map[key]int{}
-	for u := 0; u < g.NumCandidates; u++ {
-		g.Covered(u, func(w, d int) bool { fwd[key{u, w}] = d; return true })
-	}
-	bwd := map[key]int{}
-	for w := range g.Pairs {
-		g.Coverers(w, func(u, d int) bool { bwd[key{u, w}] = d; return true })
-	}
-	if len(fwd) != len(bwd) || len(fwd) != g.NumEdges() {
-		t.Fatalf("edge counts differ: fwd %d bwd %d NumEdges %d", len(fwd), len(bwd), g.NumEdges())
-	}
-	for k, d := range fwd {
-		if bwd[k] != d {
-			t.Fatalf("edge %v: fwd %d bwd %d", k, d, bwd[k])
+	item := randomItem(rand.New(rand.NewSource(1)), o, 30)
+	for _, gran := range allGranularities {
+		idx := NewIndex(m, gran)
+		idx.Merge(item.Reviews[:10])
+		idx.Merge(item.Reviews[10:])
+		for _, tc := range []struct {
+			name string
+			g    *Graph
+		}{{"build", Build(m, item, gran)}, {"frozen", idx.Freeze()}} {
+			label := tc.name + "/" + gran.String()
+			g := tc.g
+			type key struct{ u, w int }
+			fwd := map[key]int{}
+			for u := 0; u < g.NumCandidates; u++ {
+				g.Covered(u, func(w, d int) bool { fwd[key{u, w}] = d; return true })
+			}
+			bwd := 0
+			for w := range g.Pairs {
+				prev := -1
+				g.Coverers(w, func(u, d int) bool {
+					if u <= prev {
+						t.Fatalf("%s: coverers of pair %d not ascending: %d after %d", label, w, u, prev)
+					}
+					prev = u
+					if fd, ok := fwd[key{u, w}]; !ok || fd != d {
+						t.Fatalf("%s: backward edge (%d, %d) at %d has no forward edge at that distance", label, u, w, d)
+					}
+					bwd++
+					return true
+				})
+			}
+			if len(fwd) != bwd || len(fwd) != g.NumEdges() {
+				t.Fatalf("%s: edge counts differ: fwd %d bwd %d NumEdges %d", label, len(fwd), bwd, g.NumEdges())
+			}
 		}
 	}
 }

@@ -24,10 +24,9 @@
 // edge found goes straight into its candidate's forward row, the only
 // adjacency the greedy reads. Freeze hands out a Graph whose forward
 // rows alias the index's own storage — O(|U|) slice headers, not an
-// O(|E|) CSR rebuild — and whose backward CSR the batch builder fills
-// only if a reader asks for it (Graph.buildBackward). The equivalence
-// tests fuzz row identity against Build from scratch in both
-// directions.
+// O(|E|) copy — and which transposes them into its backward CSR only
+// if a reader asks for it (Graph.buildBackward). The equivalence tests
+// fuzz row identity against Build from scratch in both directions.
 //
 // Targets are deduplicated exactly as Build does: an occurrence whose
 // (concept, sentiment) is already a target only raises that target's
@@ -69,10 +68,6 @@ type Index struct {
 	pairs    []model.Pair
 	rootDist []int32
 	weight   []int32
-	// occ is every pair occurrence in candidate order; candidate u's
-	// group is occ[candStart[u]:candStart[u+1]] (len numCand+1).
-	occ       []model.Pair
-	candStart []int32
 
 	// slot[c] is 1 + the position of concept c's state in concepts, or
 	// 0 when the item does not mention c. It is the only per-ontology-
@@ -81,8 +76,8 @@ type Index struct {
 	concepts []conceptState
 
 	// Per-candidate forward rows (candidate → covered targets,
-	// ascending target order — the same order as buildClosure's forward
-	// CSR). Old candidates only ever gain edges to NEW targets (their
+	// ascending target order — the same rows as buildClosure's). Old
+	// candidates only ever gain edges to NEW targets (their
 	// occurrences are immutable, so no new edge to an old target can
 	// involve them), and new targets are scanned in ascending order, so
 	// in-place tail appends preserve the sort. New candidates
@@ -139,10 +134,9 @@ type targetBump struct {
 // (annotations change too) rather than migrating it.
 func NewIndex(m model.Metric, g model.Granularity) *Index {
 	return &Index{
-		metric:    m,
-		gran:      g,
-		candStart: []int32{0},
-		slot:      make([]int32, m.Ont.Len()),
+		metric: m,
+		gran:   g,
+		slot:   make([]int32, m.Ont.Len()),
 	}
 }
 
@@ -232,12 +226,11 @@ func (x *Index) nextTargetGenLocked() uint32 {
 }
 
 // addOccurrenceLocked files one occurrence of pair p in the open
-// candidate (index numCand): occ, the concept's bucket tail and dirty
-// mark, and either a new target or a raised weight. Targets below
+// candidate (index numCand): the concept's bucket tail and dirty mark,
+// and either a new target or a raised weight. Targets below
 // oldTargets predate the merge; bumpGen stamps the ones already
 // recorded in bumped.
 func (x *Index) addOccurrenceLocked(p model.Pair, oldTargets int, bumpGen uint32) {
-	x.occ = append(x.occ, p)
 	s := x.slot[p.Concept]
 	if s == 0 {
 		x.concepts = append(x.concepts, conceptState{})
@@ -269,11 +262,10 @@ func (x *Index) addOccurrenceLocked(p model.Pair, oldTargets int, bumpGen uint32
 	b.targets = append(b.targets, w)
 }
 
-// closeCandidateLocked ends the open candidate's group at the current
-// end of occ and gives it an empty forward row.
+// closeCandidateLocked ends the open candidate and gives it an empty
+// forward row.
 func (x *Index) closeCandidateLocked() {
 	x.numCand++
-	x.candStart = append(x.candStart, int32(len(x.occ)))
 	x.fwdPair = append(x.fwdPair, nil)
 	x.fwdDist = append(x.fwdDist, nil)
 	x.gain = append(x.gain, 0)
@@ -471,16 +463,16 @@ func (x *Index) scanTargetLocked(w int, r bucketRange, weight int64) {
 	}
 }
 
-// freezeLocked materializes a row-backed Graph in O(|U|+|W|): the
-// forward rows are slice headers over the index's storage, and the
-// backward CSR is left to Graph.buildBackward, on first use. Aliasing
-// is safe because those arrays only ever grow by appends: pairs,
-// rootDist, occ and candStart are handed out as capacity-capped
-// prefixes, and so is each forward row — an in-cap append by a later
-// merge lands beyond the frozen length, an over-cap append reallocates.
-// weight is copied, since merges raise it in place.
+// freezeLocked materializes a Graph in O(|U|+|W|): the forward rows
+// are slice headers over the index's storage, and the backward CSR is
+// left to Graph.buildBackward, on first use. Aliasing is safe because
+// those arrays only ever grow by appends: pairs and rootDist are handed
+// out as capacity-capped prefixes, and so is each forward row — an
+// in-cap append by a later merge lands beyond the frozen length, an
+// over-cap append reallocates. weight is copied, since merges raise it
+// in place.
 //
-// Forward row contents and order match buildClosure's CSR exactly
+// Forward row contents and order match buildClosure's exactly
 // (ascending target), which the equivalence tests fuzz via the
 // accessor-level row comparison.
 func (x *Index) freezeLocked() *Graph {
@@ -488,7 +480,6 @@ func (x *Index) freezeLocked() *Graph {
 		return x.frozen
 	}
 	nt := len(x.pairs)
-	no := len(x.occ)
 	nc := x.numCand
 	g := &Graph{
 		Metric:        x.metric,
@@ -496,12 +487,9 @@ func (x *Index) freezeLocked() *Graph {
 		RootDist:      x.rootDist[:nt:nt],
 		Weight:        append(make([]int32, 0, nt), x.weight...),
 		NumCandidates: nc,
-		occ:           x.occ[:no:no],
-		candStart:     x.candStart[: nc+1 : nc+1],
-		rowBacked:     true,
-		rowEdges:      x.numEdges,
-		rowFwdPair:    make([][]int32, nc),
-		rowFwdDist:    make([][]int32, nc),
+		fwdPair:       make([][]int32, nc),
+		fwdDist:       make([][]int32, nc),
+		numEdges:      x.numEdges,
 		initGains:     make([]int64, nc),
 	}
 	// Build from scratch returns a non-nil (empty) RootDist even for a
@@ -511,9 +499,9 @@ func (x *Index) freezeLocked() *Graph {
 	}
 	for u := 0; u < nc; u++ {
 		r := x.fwdPair[u]
-		g.rowFwdPair[u] = r[:len(r):len(r)]
+		g.fwdPair[u] = r[:len(r):len(r)]
 		d := x.fwdDist[u]
-		g.rowFwdDist[u] = d[:len(d):len(d)]
+		g.fwdDist[u] = d[:len(d):len(d)]
 	}
 	copy(g.initGains, x.gain)
 	x.frozen = g

@@ -228,12 +228,12 @@ func TestIndexFrozenGraphsImmutable(t *testing.T) {
 	}
 }
 
-// requireBackwardUntouched asserts a frozen graph has not built its
-// lazy backward CSR yet, so the next backward read is its first.
+// requireBackwardUntouched asserts a graph has not built its lazy
+// backward CSR yet, so the next backward read is its first.
 func requireBackwardUntouched(t *testing.T, g *Graph, label string) {
 	t.Helper()
 	if g.bwdIdx != nil {
-		t.Fatalf("%s: frozen graph built its backward CSR before any backward read", label)
+		t.Fatalf("%s: graph built its backward CSR before any backward read", label)
 	}
 }
 
@@ -305,7 +305,8 @@ func TestIndexBackwardConcurrentFirstTouch(t *testing.T) {
 }
 
 // TestIndexFrozenForwardOnly pins that the forward accessors the greedy
-// uses never trigger the lazy backward build.
+// uses never trigger the lazy backward build, on index-frozen and
+// Build graphs alike.
 func TestIndexFrozenForwardOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	o := randomDAG(t, rng, 12)
@@ -314,14 +315,18 @@ func TestIndexFrozenForwardOnly(t *testing.T) {
 	for _, g := range allGranularities {
 		idx := NewIndex(m, g)
 		idx.Merge(item.Reviews)
-		frozen := idx.Freeze()
-		for u := 0; u < frozen.NumCandidates; u++ {
-			frozen.CoveredRow(u)
-			frozen.Degree(u)
+		for _, tc := range []struct {
+			name  string
+			graph *Graph
+		}{{"frozen", idx.Freeze()}, {"build", Build(m, item, g)}} {
+			for u := 0; u < tc.graph.NumCandidates; u++ {
+				tc.graph.CoveredRow(u)
+				tc.graph.Degree(u)
+			}
+			tc.graph.NumEdges()
+			tc.graph.InitGains()
+			requireBackwardUntouched(t, tc.graph, tc.name+"/"+g.String())
 		}
-		frozen.NumEdges()
-		frozen.InitGains()
-		requireBackwardUntouched(t, frozen, g.String())
 	}
 }
 

@@ -31,33 +31,32 @@ func SentErr(ont *ontology.Ontology, summary, all []model.Pair, penalized bool) 
 	for _, f := range summary {
 		byConcept[f.Concept] = append(byConcept[f.Concept], f.Sentiment)
 	}
-	walker := ontology.NewAncestorWalker(ont)
 	sum := 0.0
 	for _, p := range all {
-		sum += errOf(walker, byConcept, p, penalized)
+		sum += errOf(ont, byConcept, p, penalized)
 	}
 	return math.Sqrt(sum / float64(len(all)))
 }
 
 // errOf returns err²_{p,F}.
-func errOf(walker *ontology.AncestorWalker, byConcept map[ontology.ConceptID][]float64, p model.Pair, penalized bool) float64 {
-	// The walker visits c_p first (distance 0), then ancestors in
-	// non-decreasing distance: the first concept present in F is the
+func errOf(ont *ontology.Ontology, byConcept map[ontology.ConceptID][]float64, p model.Pair, penalized bool) float64 {
+	// The closure row lists c_p first (distance 0), then its ancestors
+	// in non-decreasing distance: the first concept present in F is the
 	// concept itself or its lowest ancestor.
 	var sentiments []float64
-	prevDist := -1
-	walker.Walk(p.Concept, func(anc ontology.ConceptID, dist int) bool {
-		if len(sentiments) > 0 && dist > prevDist {
-			return false // already found the lowest level; stop
+	prevDist := int32(-1)
+	ids, dists := ont.Ancestors(p.Concept)
+	for i, anc := range ids {
+		if len(sentiments) > 0 && dists[i] > prevDist {
+			break // already found the lowest level; stop
 		}
 		if ss, ok := byConcept[anc]; ok {
 			// Equal-distance ancestors both in F: pool their
 			// sentiments (a DAG can have two lowest ancestors).
 			sentiments = append(sentiments, ss...)
-			prevDist = dist
+			prevDist = dists[i]
 		}
-		return true
-	})
+	}
 	if len(sentiments) > 0 {
 		best := math.Inf(1)
 		for _, s := range sentiments {

@@ -59,9 +59,11 @@ type Item struct {
 // Pairs returns the multiset P of all concept-sentiment pairs of all
 // reviews of the item.
 func (it *Item) Pairs() []Pair {
-	var out []Pair
+	out := make([]Pair, 0, it.NumPairs())
 	for i := range it.Reviews {
-		out = append(out, it.Reviews[i].Pairs()...)
+		for _, s := range it.Reviews[i].Sentences {
+			out = append(out, s.Pairs...)
+		}
 	}
 	return out
 }

@@ -84,7 +84,7 @@ func (s *Summarizer) annotateBatch(ctx context.Context, reqs []BatchRequest, wor
 				}
 				rr := &reqs[jobs[j].req].Reviews[jobs[j].rev]
 				items[jobs[j].req].Reviews[jobs[j].rev] =
-					s.pipeline.AnnotateReview(rr.ID, rr.Text, rr.Rating)
+					s.rt.Pipeline.AnnotateReview(rr.ID, rr.Text, rr.Rating)
 			}
 		}()
 	}

@@ -46,13 +46,14 @@ func TestSummarizeBatchPropagatesErrors(t *testing.T) {
 	item := s.AnnotateItem("p", "Phone", testReviews())
 	results := s.SummarizeBatch([]BatchRequest{
 		{Item: item, K: 2, Granularity: Sentences, Method: MethodGreedy},
-		{Item: item, K: -1, Granularity: Sentences, Method: MethodGreedy}, // invalid k
-		{Item: item, K: 1, Granularity: Pairs, Method: Method(42)},        // invalid method
+		{Item: item, K: -1, Granularity: Sentences, Method: MethodGreedy},     // invalid k
+		{Item: item, K: 1, Granularity: Pairs, Method: Method(42)},            // invalid method
+		{Item: item, K: 2, Granularity: Granularity(9), Method: MethodGreedy}, // invalid granularity
 	}, 2)
 	if results[0].Err != nil || results[0].Summary == nil {
 		t.Fatalf("valid request failed: %+v", results[0])
 	}
-	if results[1].Err == nil || results[2].Err == nil {
+	if results[1].Err == nil || results[2].Err == nil || results[3].Err == nil {
 		t.Fatal("invalid requests did not error")
 	}
 }

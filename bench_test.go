@@ -377,38 +377,6 @@ func BenchmarkCoverageMeasures(b *testing.B) {
 	b.ReportMetric(rep.NormalizedCost, "norm-cost")
 }
 
-// Ablation 8: quantized+deduplicated pair graph vs the plain multiset
-// graph (internal/coverage.BuildPairsQuantized). Reported metrics show
-// the instance shrinkage; ns/op shows the end-to-end build+greedy
-// speedup.
-func BenchmarkAblationQuantizeOff(b *testing.B) {
-	f := fixtures()
-	pairs := f.doctorItems[0].Pairs()
-	var cost float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := coverage.BuildPairs(f.doctorM, pairs)
-		cost = summarize.Greedy(g, benchK).Cost
-		b.ReportMetric(float64(len(g.Pairs)), "pairs")
-		b.ReportMetric(float64(g.NumEdges()), "edges")
-	}
-	b.ReportMetric(cost, "cost")
-}
-
-func BenchmarkAblationQuantizeOn(b *testing.B) {
-	f := fixtures()
-	pairs := f.doctorItems[0].Pairs()
-	var cost float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, _ := coverage.BuildPairsQuantized(f.doctorM, pairs, 0.05)
-		cost = summarize.Greedy(g, benchK).Cost
-		b.ReportMetric(float64(len(g.Pairs)), "pairs")
-		b.ReportMetric(float64(g.NumEdges()), "edges")
-	}
-	b.ReportMetric(cost, "cost")
-}
-
 // Extension: 1-swap local search vs the algorithms it brackets.
 func BenchmarkExtensionLocalSearch(b *testing.B) {
 	f := fixtures()
@@ -453,34 +421,6 @@ func BenchmarkScalingPairs250(b *testing.B)  { benchScaling(b, 250) }
 func BenchmarkScalingPairs500(b *testing.B)  { benchScaling(b, 500) }
 func BenchmarkScalingPairs1000(b *testing.B) { benchScaling(b, 1000) }
 func BenchmarkScalingPairs2000(b *testing.B) { benchScaling(b, 2000) }
-
-// Same scaling with quantized deduplication: duplicate (concept,
-// sentiment) occurrences collapse into weights, restoring near-linear
-// growth (the regime the paper's "roughly linear" claim describes).
-func benchScalingQuantized(b *testing.B, nPairs int) {
-	f := fixtures()
-	var pairs []model.Pair
-	for len(pairs) < nPairs {
-		for _, item := range f.doctorItems {
-			pairs = append(pairs, item.Pairs()...)
-			if len(pairs) >= nPairs {
-				break
-			}
-		}
-	}
-	pairs = pairs[:nPairs]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, _ := coverage.BuildPairsQuantized(f.doctorM, pairs, 0.05)
-		summarize.Greedy(g, benchK)
-		b.ReportMetric(float64(g.NumEdges()), "edges")
-	}
-}
-
-func BenchmarkScalingQuantized250(b *testing.B)  { benchScalingQuantized(b, 250) }
-func BenchmarkScalingQuantized500(b *testing.B)  { benchScalingQuantized(b, 500) }
-func BenchmarkScalingQuantized1000(b *testing.B) { benchScalingQuantized(b, 1000) }
-func BenchmarkScalingQuantized2000(b *testing.B) { benchScalingQuantized(b, 2000) }
 
 // --- Cold path (PR 2): per-layer microbenches -----------------------
 //

@@ -58,9 +58,7 @@ type Graph struct {
 	// w to the implicit root.
 	RootDist []int32
 	// Weight[w] is how many pairs of P target w stands for, so
-	// Σ Weight = |P|. BuildPairsQuantized also merges pairs whose
-	// sentiments snap to the same grid point. All cost computations
-	// multiply by it.
+	// Σ Weight = |P|. All cost computations multiply by it.
 	Weight []int32
 	// NumCandidates is |U|.
 	NumCandidates int

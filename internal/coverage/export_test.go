@@ -12,3 +12,7 @@ func BuildMultiset(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *G
 
 // RandomDAG exposes the random multi-parent ontology generator.
 var RandomDAG = randomDAG
+
+// AblationItems exposes the benchmark fixture's per-item pair
+// multisets.
+var AblationItems = ablationItems

@@ -166,23 +166,32 @@ func BuildPairsNaive(m model.Metric, pairs []model.Pair) *Graph {
 	return b.finish()
 }
 
-// ablationPairs returns the pair multiset of the first item of the
-// root package's benchmark fixture: three annotated 60–80-review
-// doctor items (DoctorConfig(1)), at ε 0.5.
-func ablationPairs() (model.Metric, []model.Pair) {
+// ablationItems returns the pair multisets of a copy of the root
+// package's benchmark fixture: three annotated 60–80-review doctor
+// items (DoctorConfig(1)), at ε 0.5.
+func ablationItems() (model.Metric, [][]model.Pair) {
 	cfg := dataset.DoctorConfig(1)
 	cfg.NumItems = 3
 	cfg.TotalReviews = 210
 	cfg.MinReviews = 60
 	cfg.MaxReviews = 80
 	c := dataset.Generate(cfg)
-	it := c.Items[0]
-	raws := make([]extract.RawReview, len(it.Reviews))
-	for i, r := range it.Reviews {
-		raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
-	}
 	pipe := extract.NewPipeline(extract.NewMatcher(c.Ont), sentiment.Lexicon{})
-	return model.Metric{Ont: c.Ont, Epsilon: 0.5}, pipe.AnnotateItem(it.ID, it.Name, raws).Pairs()
+	items := make([][]model.Pair, len(c.Items))
+	for j, it := range c.Items {
+		raws := make([]extract.RawReview, len(it.Reviews))
+		for i, r := range it.Reviews {
+			raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
+		}
+		items[j] = pipe.AnnotateItem(it.ID, it.Name, raws).Pairs()
+	}
+	return model.Metric{Ont: c.Ont, Epsilon: 0.5}, items
+}
+
+// ablationPairs returns the fixture's first item's pair multiset.
+func ablationPairs() (model.Metric, []model.Pair) {
+	m, items := ablationItems()
+	return m, items[0]
 }
 
 // Ablation 2: §4.1 bucket+ancestor-walk initialization vs naive

@@ -411,30 +411,36 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	item := s.sum.AnnotateItemWith(rt, req.ItemID, req.ItemName, toReviews(req.Reviews))
-	summary, err := s.sum.SummarizeWith(rt, item, req.K, gran, method)
+	sum, err := s.sum.SummarizeWith(rt, item, req.K, gran, method)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	writeJSON(w, http.StatusOK, summaryResponse(sum, start))
+}
+
+// summaryResponse renders a summary in the wire shape both summary
+// endpoints answer with. Concept names come from Summary.Concepts,
+// captured at solve time under the SOLVING ontology: resolving the
+// ConceptIDs against the currently active ontology would be wrong the
+// moment an activation lands between solve and render.
+func summaryResponse(sum *osars.Summary, start time.Time) SummarizeResponse {
 	resp := SummarizeResponse{
-		ItemID:          req.ItemID,
-		Granularity:     gran.String(),
-		Method:          method.String(),
-		Cost:            summary.Cost,
-		NumPairs:        item.NumPairs(),
-		Sentences:       summary.Sentences,
-		ReviewIDs:       summary.ReviewIDs,
-		Ontology:        rt.Name,
-		OntologyVersion: rt.Version,
+		ItemID:          sum.ItemID,
+		Granularity:     sum.Granularity.String(),
+		Method:          sum.Method.String(),
+		Cost:            sum.Cost,
+		NumPairs:        sum.NumPairs,
+		Sentences:       sum.Sentences,
+		ReviewIDs:       sum.ReviewIDs,
+		Ontology:        sum.Ontology,
+		OntologyVersion: sum.OntologyVersion,
 		ElapsedMS:       float64(time.Since(start).Microseconds()) / 1000,
 	}
-	for _, p := range summary.Pairs {
-		resp.Pairs = append(resp.Pairs, PairJSON{
-			Concept:   rt.Metric.Ont.Name(p.Concept),
-			Sentiment: p.Sentiment,
-		})
+	for i, p := range sum.Pairs {
+		resp.Pairs = append(resp.Pairs, PairJSON{Concept: sum.Concepts[i], Sentiment: p.Sentiment})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // requireStore answers 503 while boot recovery runs and 404 when the
@@ -516,36 +522,11 @@ func (s *Server) handleItemSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err.Error())
 		return
 	}
-	resp := ItemSummaryResponse{
-		SummarizeResponse: SummarizeResponse{
-			ItemID:          sum.ItemID,
-			Granularity:     gran.String(),
-			Method:          method.String(),
-			Cost:            sum.Cost,
-			NumPairs:        sum.NumPairs,
-			Sentences:       sum.Sentences,
-			ReviewIDs:       sum.ReviewIDs,
-			Ontology:        sum.Ontology,
-			OntologyVersion: sum.OntologyVersion,
-			ElapsedMS:       float64(time.Since(start).Microseconds()) / 1000,
-		},
-		Generation: sum.Generation,
-		Cached:     cached,
-	}
-	// Concept names were captured at solve time under the SOLVING
-	// ontology (store.Summary.Concepts) — resolving the ConceptIDs here
-	// against the currently active ontology would be wrong the moment an
-	// activation lands between solve and render.
-	for i, p := range sum.Pairs {
-		pj := PairJSON{Sentiment: p.Sentiment}
-		if i < len(sum.Concepts) {
-			pj.Concept = sum.Concepts[i]
-		} else {
-			pj.Concept = s.activeRuntime().Metric.Ont.Name(p.Concept)
-		}
-		resp.Pairs = append(resp.Pairs, pj)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ItemSummaryResponse{
+		SummarizeResponse: summaryResponse(sum, start),
+		Generation:        sum.Generation,
+		Cached:            cached,
+	})
 }
 
 func (s *Server) handleItemStats(w http.ResponseWriter, r *http.Request) {

@@ -273,3 +273,54 @@ func TestStatelessModeDisablesItems(t *testing.T) {
 		t.Fatalf("stateless summarize status = %d: %s", w.Code, w.Body.String())
 	}
 }
+
+// TestStatelessMatchesStoredOverHTTP pins that both summary endpoints
+// answer the same corpus with the same body: POST /v1/summarize and
+// GET /v1/items/{id}/summary must be byte-identical once elapsed_ms
+// (and the stored reply's generation and cached flag) are dropped, at
+// every granularity and k (50 hits the candidate clamp), on unsharded
+// and sharded stores.
+func TestStatelessMatchesStoredOverHTTP(t *testing.T) {
+	sum, err := osars.New(osars.Config{Ontology: dataset.CellPhoneOntology()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := validRequest()
+	req.Reviews = append(req.Reviews,
+		RawReview{ID: "r4", Text: "The speaker is too quiet but the design is gorgeous.", Rating: 0.5},
+		RawReview{ID: "r5", Text: "Battery drains overnight which is disappointing.", Rating: -0.5},
+	)
+	body := func(w *httptest.ResponseRecorder, label string) string {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", label, w.Code, w.Body.String())
+		}
+		var resp SummarizeResponse
+		decode(t, w, &resp)
+		resp.ElapsedMS = 0
+		data, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, shards := range []int{1, 2} {
+		srv := NewWithStore(sum, sum.NewStore(osars.StoreOptions{Shards: shards}))
+		if w := do(t, srv, http.MethodPut, "/v1/items/"+req.ItemID+"/reviews",
+			AppendReviewsRequest{ItemName: req.ItemName, Reviews: req.Reviews}); w.Code != http.StatusOK {
+			t.Fatalf("append: %d %s", w.Code, w.Body.String())
+		}
+		for _, gran := range []string{"pairs", "sentences", "reviews"} {
+			for _, k := range []int{1, 3, 50} {
+				label := fmt.Sprintf("shards=%d %s k=%d", shards, gran, k)
+				req.K, req.Granularity = k, gran
+				stateless := body(post(t, srv, "/v1/summarize", req), label+" stateless")
+				stored := body(do(t, srv, http.MethodGet,
+					fmt.Sprintf("/v1/items/%s/summary?k=%d&granularity=%s", req.ItemID, k, gran), nil), label+" stored")
+				if stateless != stored {
+					t.Fatalf("%s: endpoints diverged:\nstateless: %s\nstored:    %s", label, stateless, stored)
+				}
+			}
+		}
+	}
+}

@@ -302,10 +302,11 @@ func TestReannotationRaceInvalidatesIndex(t *testing.T) {
 	}
 }
 
-// TestNewSummaryRendersSelection checks the renderer, which walks the
-// reviews to the selected units, against the flattened corpus: pairs
-// and their concept names, sentence texts and review IDs, in selection
-// order, for random unsorted selections of every size.
+// TestNewSummaryRendersSelection checks the one renderer, which walks
+// the reviews to the selected units, against the flattened corpus:
+// pairs and their concept names, sentence texts and review IDs, in
+// selection order, for random unsorted selections of every size at
+// every granularity. Every field of the Summary is compared.
 func TestNewSummaryRendersSelection(t *testing.T) {
 	s, err := New(testConfig())
 	if err != nil {
@@ -317,6 +318,9 @@ func TestNewSummaryRendersSelection(t *testing.T) {
 	item, _, _ := s.Item("p1")
 	rt := s.ActiveRuntime()
 	pairs := item.Pairs()
+	if item.NumPairs() != len(pairs) {
+		t.Fatalf("NumPairs = %d, len(Pairs()) = %d", item.NumPairs(), len(pairs))
+	}
 	var texts []string
 	for ri := range item.Reviews {
 		for si := range item.Reviews[ri].Sentences {
@@ -334,11 +338,16 @@ func TestNewSummaryRendersSelection(t *testing.T) {
 		}[g]
 		for trial := 0; trial < 20; trial++ {
 			sel := rng.Perm(n)[:rng.Intn(n+1)]
-			want := &Summary{Indices: sel}
+			want := &Summary{
+				ItemID: "p1", Generation: 3, K: len(sel), Granularity: g, Method: MethodILP,
+				Cost: 7, NumPairs: len(pairs), Indices: sel,
+				Ontology: rt.Name, OntologyVersion: rt.Version,
+			}
 			for _, u := range sel {
 				switch g {
 				case model.GranularityPairs:
 					want.Pairs = append(want.Pairs, pairs[u])
+					// Concepts[i] is the solving ontology's name for Pairs[i].
 					want.Concepts = append(want.Concepts, rt.Metric.Ont.Name(pairs[u].Concept))
 				case model.GranularitySentences:
 					want.Sentences = append(want.Sentences, texts[u])
@@ -346,9 +355,10 @@ func TestNewSummaryRendersSelection(t *testing.T) {
 					want.ReviewIDs = append(want.ReviewIDs, item.Reviews[u].ID)
 				}
 			}
-			got := newSummary(rt, item, 0, len(sel), g, MethodGreedy, len(pairs), &summarize.Result{Selected: sel})
-			want.Cost, want.NumPairs, want.K = got.Cost, len(pairs), len(sel)
-			requireSameSummary(t, got, want, fmt.Sprintf("%v/trial%d", g, trial))
+			got := newSummary(rt, item, 3, len(sel), g, MethodILP, len(pairs), &summarize.Result{Selected: sel, Cost: 7})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v trial %d: rendered %+v, want %+v", g, trial, got, want)
+			}
 		}
 	}
 }

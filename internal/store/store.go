@@ -595,17 +595,26 @@ type cacheKey struct {
 	m   Method
 }
 
-// Summary is a computed (and possibly cached) review summary.
+// Summary is a computed review summary: a stored item's (possibly
+// cached) summary, or a stateless one from Solve with Generation 0.
 type Summary struct {
 	ItemID      string            `json:"item_id"`
 	Generation  uint64            `json:"generation"`
 	K           int               `json:"k"` // effective k after clamping
 	Granularity model.Granularity `json:"granularity"`
 	Method      Method            `json:"method"`
-	Cost        float64           `json:"cost"`
-	NumPairs    int               `json:"num_pairs"`
-	Indices     []int             `json:"indices,omitempty"`
-	Pairs       []model.Pair      `json:"pairs,omitempty"`
+	// Cost is the Definition-2 coverage cost of the selection.
+	Cost float64 `json:"cost"`
+	// NumPairs is |P|, the item's pair count.
+	NumPairs int `json:"num_pairs"`
+	// Indices are the selected candidate indices: pair indices into
+	// Item.Pairs() for Pairs, flattened sentence indices for Sentences,
+	// review indices for Reviews.
+	Indices []int `json:"indices,omitempty"`
+	// Pairs, Sentences and ReviewIDs are the selected units at the
+	// summary's granularity (the other two are empty), in selection
+	// order.
+	Pairs []model.Pair `json:"pairs,omitempty"`
 	// Concepts are the human-readable concept names of Pairs, captured
 	// at solve time under the solving ontology — renderers never need to
 	// resolve ConceptIDs against a possibly different active ontology.
@@ -624,18 +633,8 @@ type Summary struct {
 // via singleflight). The returned Summary is shared with the cache and
 // must be treated as read-only.
 func (s *Store) Summary(id string, k int, g model.Granularity, m Method) (sum *Summary, cached bool, err error) {
-	if k < 0 {
-		return nil, false, fmt.Errorf("store: k must be nonnegative, got %d", k)
-	}
-	switch g {
-	case model.GranularityPairs, model.GranularitySentences, model.GranularityReviews:
-	default:
-		return nil, false, fmt.Errorf("store: unknown granularity %v", g)
-	}
-	switch m {
-	case MethodGreedy, MethodRR, MethodILP, MethodLocalSearch:
-	default:
-		return nil, false, fmt.Errorf("store: unknown method %v", m)
+	if err := checkRequest(k, g, m); err != nil {
+		return nil, false, err
 	}
 
 	// Pin the active runtime for the whole request: a concurrent swap
@@ -835,19 +834,19 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 	buildStart := time.Now()
 	graph := s.graphFor(rt, item, g)
 	s.metrics.graphSeconds.ObserveSince(buildStart)
-	if k > graph.NumCandidates {
-		k = graph.NumCandidates
-	}
+	k = min(k, graph.NumCandidates)
 	solveStart := time.Now()
-	var res *summarize.Result
-	var err error
-	switch m {
-	case MethodGreedy:
-		// Warm-start from the previous selection at this (k,
-		// granularity); the result is identical either way.
-		prev := s.warmResult(item.ID, rt.Version, k, g)
-		var hit bool
-		res, hit = summarize.GreedyWarm(graph, k, prev)
+	// Greedy warm-starts from the previous selection at this (k,
+	// granularity); the result is identical either way.
+	var prev *summarize.Result
+	if m == MethodGreedy {
+		prev = s.warmResult(item.ID, rt.Version, k, g)
+	}
+	res, hit, err := selectUnits(graph, k, m, s.seed, prev)
+	if err != nil {
+		return nil, err
+	}
+	if m == MethodGreedy {
 		if hit {
 			s.warmHits.Add(1)
 			s.metrics.indexWarmHits.Inc()
@@ -856,15 +855,6 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 			s.metrics.indexWarmFallbacks.Inc()
 		}
 		s.storeWarm(item.ID, rt.Version, k, g, res)
-	case MethodRR:
-		res, err = summarize.RandomizedRounding(graph, k, rand.New(rand.NewSource(s.seed)), nil)
-	case MethodILP:
-		res, err = summarize.ILP(graph, k, nil)
-	case MethodLocalSearch:
-		res = summarize.LocalSearch(graph, k, nil)
-	}
-	if err != nil {
-		return nil, err
 	}
 	// The graph's targets are P's distinct pairs; their weights sum to |P|.
 	numPairs := 0
@@ -874,6 +864,62 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 	sum := newSummary(rt, item, gen, k, g, m, numPairs, res)
 	s.metrics.solveSeconds[m].ObserveSince(solveStart)
 	return sum, nil
+}
+
+// Solve is the stateless summary path: the request checks of
+// Store.Summary, then a cold coverage.Build of the item under rt's
+// metric, the store's selection (randomized rounding seeded by seed)
+// and its renderer. The item must have been annotated under rt, and
+// the summary carries generation 0.
+func Solve(rt *ontoreg.Runtime, item *model.Item, k int, g model.Granularity, m Method, seed int64) (*Summary, error) {
+	if err := checkRequest(k, g, m); err != nil {
+		return nil, err
+	}
+	graph := coverage.Build(rt.Metric, item, g)
+	k = min(k, graph.NumCandidates)
+	res, _, err := selectUnits(graph, k, m, seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	return newSummary(rt, item, 0, k, g, m, item.NumPairs(), res), nil
+}
+
+// checkRequest validates a summary request's k, granularity and
+// method.
+func checkRequest(k int, g model.Granularity, m Method) error {
+	if k < 0 {
+		return fmt.Errorf("store: k must be nonnegative, got %d", k)
+	}
+	switch g {
+	case model.GranularityPairs, model.GranularitySentences, model.GranularityReviews:
+	default:
+		return fmt.Errorf("store: unknown granularity %v", g)
+	}
+	switch m {
+	case MethodGreedy, MethodRR, MethodILP, MethodLocalSearch:
+	default:
+		return fmt.Errorf("store: unknown method %v", m)
+	}
+	return nil
+}
+
+// selectUnits runs method m's selection of k candidates on graph: the
+// one call site of the selection algorithms for summary requests. m
+// has passed checkRequest. prev is greedy's warm-start seed (nil for
+// none) and hit reports whether greedy could use it; seed seeds
+// randomized rounding.
+func selectUnits(graph *coverage.Graph, k int, m Method, seed int64, prev *summarize.Result) (res *summarize.Result, hit bool, err error) {
+	switch m {
+	case MethodGreedy:
+		res, hit = summarize.GreedyWarm(graph, k, prev)
+	case MethodRR:
+		res, err = summarize.RandomizedRounding(graph, k, rand.New(rand.NewSource(seed)), nil)
+	case MethodILP:
+		res, err = summarize.ILP(graph, k, nil)
+	case MethodLocalSearch:
+		res = summarize.LocalSearch(graph, k, nil)
+	}
+	return res, hit, err
 }
 
 // newSummary renders a selection over the item snapshot into a
@@ -910,8 +956,9 @@ func newSummary(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, g mode
 			sum.Sentences[i] = s.Text
 		})
 	case model.GranularityReviews:
-		for _, idx := range res.Selected {
-			sum.ReviewIDs = append(sum.ReviewIDs, item.Reviews[idx].ID)
+		sum.ReviewIDs = make([]string, n)
+		for i, idx := range res.Selected {
+			sum.ReviewIDs[i] = item.Reviews[idx].ID
 		}
 	}
 	return sum

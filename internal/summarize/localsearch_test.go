@@ -96,7 +96,7 @@ func TestLocalSearchKZero(t *testing.T) {
 
 func TestLocalSearchOnWeightedGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	q, _ := quantize(randomPairs(rng, 12, 20))
+	q := mergedPairsGraph(randomPairs(rng, 12, 20))
 	k := 2
 	if k > q.NumCandidates {
 		k = q.NumCandidates

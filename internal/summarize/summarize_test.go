@@ -440,22 +440,21 @@ func TestRandomizedRoundingBestClampsTrials(t *testing.T) {
 }
 
 // TestWeightedGraphMatchesExpandedMultiset: greedy and ILP on a
-// quantized (weighted) graph must report the same optimal costs as on
+// candidate-merged (weighted) graph must report the same optimal costs as on
 // the expanded multiset graph.
 func TestWeightedGraphMatchesExpandedMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 10; trial++ {
 		m, P := randomPairs(rng, 10, 16)
 		full := coverage.BuildPairs(m, P)
-		q, _ := quantize(m, P)
+		q := mergedPairsGraph(m, P)
 		k := 2
 		if k > q.NumCandidates {
 			k = q.NumCandidates
 		}
-		// ILP optima agree (the quantized instance has the same optimal
-		// cost because sentiments are already on the 0.1 grid and any
-		// multiset selection maps to a unique-pair selection of equal
-		// cost and vice versa).
+		// ILP optima agree (the merged instance has the same optimal
+		// cost because any multiset selection maps to a distinct-pair
+		// selection of equal cost and vice versa).
 		fullOpt, err := ILP(full, k, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -479,10 +478,19 @@ func TestWeightedGraphMatchesExpandedMultiset(t *testing.T) {
 	}
 }
 
-// quantize is a test helper building the quantized variant of a pair
-// instance.
-func quantize(m model.Metric, P []model.Pair) (*coverage.Graph, []int) {
-	return coverage.BuildPairsQuantized(m, P, 0.1)
+// mergedPairsGraph builds the candidate-merged (weighted) variant of
+// a pair instance: one candidate per distinct pair, in order of first
+// occurrence, over P's distinct pairs weighted by multiplicity.
+func mergedPairsGraph(m model.Metric, P []model.Pair) *coverage.Graph {
+	seen := make(map[model.Pair]bool, len(P))
+	var groups [][]model.Pair
+	for i, p := range P {
+		if !seen[p] {
+			seen[p] = true
+			groups = append(groups, P[i:i+1])
+		}
+	}
+	return coverage.BuildGroups(m, groups, P)
 }
 
 // TestQuickTheorem4GreedyBound verifies Wolsey's guarantee as the

@@ -2,8 +2,8 @@ package osars
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -38,94 +38,12 @@ func TestParseMethod(t *testing.T) {
 	}
 }
 
-func TestSummarizeWithOptionsDefaultsMatchSummarize(t *testing.T) {
-	s := testSummarizer(t)
-	item := s.AnnotateItem("p1", "Phone", testReviews())
-	plain, err := s.Summarize(item, 3, Sentences, MethodGreedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := s.SummarizeWithOptions(item, Options{K: 3, Granularity: Sentences, Method: MethodGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cost != opt.Cost || len(plain.Sentences) != len(opt.Sentences) {
-		t.Fatalf("options path diverged: %v vs %v", plain.Cost, opt.Cost)
-	}
-}
-
-func TestSummarizeWithOptionsQuantized(t *testing.T) {
-	s := testSummarizer(t)
-	// Duplicate reviews create exactly duplicated pairs, so the
-	// quantized selection must cost the same as the plain one.
-	reviews := append(testReviews(), testReviews()...)
-	item := s.AnnotateItem("p1", "Phone", reviews)
-	plain, err := s.SummarizeWithOptions(item, Options{K: 3, Granularity: Pairs, Method: MethodGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	quant, err := s.SummarizeWithOptions(item, Options{K: 3, Granularity: Pairs, Method: MethodGreedy, QuantizeGrid: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quant.Cost != plain.Cost {
-		t.Fatalf("quantized cost %v != plain %v", quant.Cost, plain.Cost)
-	}
-	if len(quant.Pairs) != 3 {
-		t.Fatalf("quantized pairs = %v", quant.Pairs)
-	}
-	// Indices refer to original pair order.
-	all := item.Pairs()
-	for i, idx := range quant.Indices {
-		if idx < 0 || idx >= len(all) {
-			t.Fatalf("index out of range: %v", quant.Indices)
-		}
-		if all[idx] != quant.Pairs[i] {
-			t.Fatalf("index %d does not match returned pair", idx)
-		}
-	}
-}
-
-func TestSummarizeWithOptionsQuantizeWrongGranularity(t *testing.T) {
-	s := testSummarizer(t)
-	item := s.AnnotateItem("p1", "Phone", testReviews())
-	if _, err := s.SummarizeWithOptions(item, Options{K: 2, Granularity: Sentences, QuantizeGrid: 0.05}); err == nil {
-		t.Fatal("quantize on sentences accepted")
-	}
-}
-
-func TestSummarizeWithOptionsRRTrials(t *testing.T) {
-	s := testSummarizer(t)
-	item := s.AnnotateItem("p1", "Phone", testReviews())
-	single, err := s.SummarizeWithOptions(item, Options{K: 2, Granularity: Reviews, Method: MethodRR, RRTrials: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := s.SummarizeWithOptions(item, Options{K: 2, Granularity: Reviews, Method: MethodRR, RRTrials: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Cost > single.Cost+1e-9 {
-		t.Fatalf("best-of-8 cost %v worse than single %v", multi.Cost, single.Cost)
-	}
-}
-
-func TestSummarizeWithOptionsErrors(t *testing.T) {
-	s := testSummarizer(t)
-	item := s.AnnotateItem("p1", "Phone", testReviews())
-	if _, err := s.SummarizeWithOptions(item, Options{K: -1}); err == nil {
-		t.Fatal("negative k accepted")
-	}
-	if _, err := s.SummarizeWithOptions(item, Options{K: 1, Method: Method(77), QuantizeGrid: 0.05, Granularity: Pairs}); err == nil {
-		t.Fatal("unknown method accepted")
-	}
-}
-
-// TestNewSummaryRendersSelection checks the renderer, which walks the
-// reviews to the selected units, against the flattened corpus: pairs,
-// sentence texts and review IDs in selection order, for random
-// unsorted selections of every size at every granularity, and for the
-// representatives QuantizeGrid maps its selections back to.
+// TestNewSummaryRendersSelection checks how Summarize renders the
+// solver's selection, against the flattened corpus: pairs and their
+// concept names, sentence texts and review IDs, in selection order
+// (which is unsorted), for every method at every granularity and
+// k = 1..12. Every field of the Summary except the solver's Cost is
+// compared.
 func TestNewSummaryRendersSelection(t *testing.T) {
 	s := testSummarizer(t)
 	var reviews []Review
@@ -136,6 +54,7 @@ func TestNewSummaryRendersSelection(t *testing.T) {
 		}
 	}
 	item := s.AnnotateItem("p1", "Phone", reviews)
+	rt := s.Runtime()
 	pairs := item.Pairs()
 	if item.NumPairs() != len(pairs) {
 		t.Fatalf("NumPairs = %d, len(Pairs()) = %d", item.NumPairs(), len(pairs))
@@ -146,38 +65,39 @@ func TestNewSummaryRendersSelection(t *testing.T) {
 			texts = append(texts, item.Reviews[ri].Sentences[si].Text)
 		}
 	}
-	rng := rand.New(rand.NewSource(1))
+	unsorted := false
 	for _, g := range []Granularity{Pairs, Sentences, Reviews} {
-		n := map[Granularity]int{Pairs: len(pairs), Sentences: len(texts), Reviews: len(item.Reviews)}[g]
-		for trial := 0; trial < 20; trial++ {
-			sel := rng.Perm(n)[:rng.Intn(n+1)]
-			want := &Summary{Granularity: g, Method: MethodGreedy, Cost: 7, Indices: sel}
-			for _, u := range sel {
-				switch g {
-				case Pairs:
-					want.Pairs = append(want.Pairs, pairs[u])
-				case Sentences:
-					want.Sentences = append(want.Sentences, texts[u])
-				case Reviews:
-					want.ReviewIDs = append(want.ReviewIDs, item.Reviews[u].ID)
+		for _, m := range []Method{MethodGreedy, MethodRR, MethodILP, MethodLocalSearch} {
+			for k := 1; k <= 12; k++ {
+				got, err := s.Summarize(item, k, g, m)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got := newSummary(item, g, MethodGreedy, 7, sel); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v trial %d: rendered %+v, want %+v", g, trial, got, want)
+				sel := got.Indices
+				want := &Summary{
+					ItemID: "p1", K: len(sel), Granularity: g, Method: m,
+					Cost: got.Cost, NumPairs: len(pairs), Indices: sel,
+					Ontology: rt.Name, OntologyVersion: rt.Version,
+				}
+				for _, u := range sel {
+					switch g {
+					case Pairs:
+						want.Pairs = append(want.Pairs, pairs[u])
+						want.Concepts = append(want.Concepts, rt.Metric.Ont.Name(pairs[u].Concept))
+					case Sentences:
+						want.Sentences = append(want.Sentences, texts[u])
+					case Reviews:
+						want.ReviewIDs = append(want.ReviewIDs, item.Reviews[u].ID)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v %v k %d: rendered %+v, want %+v", g, m, k, got, want)
+				}
+				unsorted = unsorted || !sort.IntsAreSorted(sel)
 			}
 		}
 	}
-	for _, grid := range []float64{0.05, 0.25, 1} {
-		for k := 1; k <= 12; k++ {
-			sum, err := s.SummarizeWithOptions(item, Options{K: k, Granularity: Pairs, Method: MethodGreedy, QuantizeGrid: grid})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, idx := range sum.Indices {
-				if sum.Pairs[i] != pairs[idx] {
-					t.Fatalf("grid %v k %d: pair %d = %v, corpus pair %d = %v", grid, k, i, sum.Pairs[i], idx, pairs[idx])
-				}
-			}
-		}
+	if !unsorted {
+		t.Fatal("every selection was sorted; the test does not exercise selection order")
 	}
 }

@@ -22,17 +22,14 @@ package osars
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"math"
 
-	"osars/internal/coverage"
 	"osars/internal/extract"
 	"osars/internal/model"
 	"osars/internal/ontology"
 	"osars/internal/ontoreg"
 	"osars/internal/sentiment"
 	"osars/internal/store"
-	"osars/internal/summarize"
 )
 
 // Re-exported building blocks, so library users need only this
@@ -53,6 +50,9 @@ type (
 	Estimator = sentiment.Estimator
 	// Granularity selects what a summary is made of.
 	Granularity = model.Granularity
+	// Summary is a computed review summary. The stateless calls and a
+	// Store return the same type; a stateless summary has Generation 0.
+	Summary = store.Summary
 )
 
 // Granularities of the two coverage problems (§2).
@@ -106,10 +106,8 @@ type Config struct {
 
 // Summarizer is the top-level entry point. Safe for concurrent use.
 type Summarizer struct {
-	rt       *ontoreg.Runtime
-	metric   model.Metric
-	pipeline *extract.Pipeline
-	seed     int64
+	rt   *ontoreg.Runtime
+	seed int64
 }
 
 // New validates the config and builds a Summarizer.
@@ -120,8 +118,8 @@ func New(cfg Config) (*Summarizer, error) {
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 0.5
 	}
-	if cfg.Epsilon < 0 {
-		return nil, fmt.Errorf("osars: Epsilon must be positive, got %v", cfg.Epsilon)
+	if cfg.Epsilon < 0 || math.IsNaN(cfg.Epsilon) || math.IsInf(cfg.Epsilon, 0) {
+		return nil, fmt.Errorf("osars: Epsilon must be positive and finite, got %v", cfg.Epsilon)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -148,17 +146,12 @@ func New(cfg Config) (*Summarizer, error) {
 			extract.NewPipeline(extract.NewMatcher(cfg.Ontology), cfg.Estimator),
 		)
 	}
-	return &Summarizer{
-		rt:       rt,
-		metric:   rt.Metric,
-		pipeline: rt.Pipeline,
-		seed:     cfg.Seed,
-	}, nil
+	return &Summarizer{rt: rt, seed: cfg.Seed}, nil
 }
 
 // Metric exposes the configured Definition-1/2 metric (for custom
 // evaluation).
-func (s *Summarizer) Metric() model.Metric { return s.metric }
+func (s *Summarizer) Metric() model.Metric { return s.rt.Metric }
 
 // Runtime returns the summarizer's compiled ontology runtime: the
 // (ontology, lexicon, ε) triple plus its content version. Stores
@@ -173,35 +166,14 @@ func (s *Summarizer) Runtime() *OntologyRuntime { return s.rt }
 // matcher and estimator are read-only); the result is deterministic
 // and identical to sequential annotation.
 func (s *Summarizer) AnnotateItem(id, name string, reviews []Review) *Item {
-	return s.pipeline.AnnotateItemParallel(id, name, reviews, 0)
-}
-
-// Summary is a computed review summary.
-type Summary struct {
-	// Granularity the summary was built at.
-	Granularity Granularity
-	// Method that produced it.
-	Method Method
-	// Cost is the Definition-2 coverage cost of the selection.
-	Cost float64
-	// Indices are the selected candidate indices: pair indices into
-	// Item.Pairs() for Pairs, flattened sentence indices for
-	// Sentences, review indices for Reviews.
-	Indices []int
-	// Pairs is the selected pairs (Pairs granularity only).
-	Pairs []Pair
-	// Sentences is the selected sentence texts (Sentences granularity
-	// only), in selection order.
-	Sentences []string
-	// ReviewIDs is the selected review IDs (Reviews granularity only).
-	ReviewIDs []string
+	return s.rt.Pipeline.AnnotateItemParallel(id, name, reviews, 0)
 }
 
 // Summarize selects the k most representative units of the item at
 // the given granularity. k is clamped to the number of available
 // candidates.
 func (s *Summarizer) Summarize(item *Item, k int, g Granularity, m Method) (*Summary, error) {
-	return s.summarize(s.metric, item, Options{K: k, Granularity: g, Method: m})
+	return s.SummarizeWith(s.rt, item, k, g, m)
 }
 
 // AnnotateItemWith is AnnotateItem under an explicit ontology runtime
@@ -216,90 +188,11 @@ func (s *Summarizer) AnnotateItemWith(rt *OntologyRuntime, id, name string, revi
 // annotated under the SAME runtime (its pair ConceptIDs index rt's
 // ontology).
 func (s *Summarizer) SummarizeWith(rt *OntologyRuntime, item *Item, k int, g Granularity, m Method) (*Summary, error) {
-	return s.summarize(rt.Metric, item, Options{K: k, Granularity: g, Method: m})
-}
-
-// summarize is the one stateless solve behind Summarize,
-// SummarizeWith and SummarizeWithOptions: build the coverage graph
-// under metric, select, render. Selected indices always refer to the
-// item's original pair/sentence/review order (quantized selections are
-// mapped back to representatives).
-func (s *Summarizer) summarize(metric model.Metric, item *Item, opt Options) (*Summary, error) {
-	if opt.K < 0 {
-		return nil, fmt.Errorf("osars: k must be nonnegative, got %d", opt.K)
-	}
-	var graph *coverage.Graph
-	var rep []int
-	if opt.QuantizeGrid > 0 {
-		if opt.Granularity != Pairs {
-			return nil, fmt.Errorf("osars: QuantizeGrid applies to the pairs granularity only")
-		}
-		graph, rep = coverage.BuildPairsQuantized(metric, item.Pairs(), opt.QuantizeGrid)
-	} else {
-		graph = coverage.Build(metric, item, opt.Granularity)
-	}
-	k := min(opt.K, graph.NumCandidates)
-
-	var res *summarize.Result
-	var err error
-	switch opt.Method {
-	case MethodGreedy:
-		res = summarize.Greedy(graph, k)
-	case MethodRR:
-		res, err = summarize.RandomizedRoundingBest(graph, k, opt.RRTrials, rand.New(rand.NewSource(s.seed)), nil)
-	case MethodILP:
-		res, err = summarize.ILP(graph, k, nil)
-	case MethodLocalSearch:
-		res = summarize.LocalSearch(graph, k, nil)
-	default:
-		return nil, fmt.Errorf("osars: unknown method %v", opt.Method)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	selected := res.Selected
-	if rep != nil {
-		mapped := make([]int, len(selected))
-		for i, u := range selected {
-			mapped[i] = rep[u]
-		}
-		sort.Ints(mapped)
-		selected = mapped
-	}
-	return newSummary(item, opt.Granularity, opt.Method, res.Cost, selected), nil
-}
-
-// newSummary renders a selection of the item's units at granularity g
-// in selection order. It walks the reviews to the selected units
-// instead of flattening the corpus.
-func newSummary(item *Item, g Granularity, m Method, cost float64, selected []int) *Summary {
-	out := &Summary{Granularity: g, Method: m, Cost: cost, Indices: selected}
-	if len(selected) == 0 {
-		return out
-	}
-	switch g {
-	case Pairs:
-		out.Pairs = make([]Pair, len(selected))
-		item.WalkSelected(selected, true, func(i int, s *model.Sentence, off int) {
-			out.Pairs[i] = s.Pairs[off]
-		})
-	case Sentences:
-		out.Sentences = make([]string, len(selected))
-		item.WalkSelected(selected, false, func(i int, s *model.Sentence, _ int) {
-			out.Sentences[i] = s.Text
-		})
-	case Reviews:
-		out.ReviewIDs = make([]string, len(selected))
-		for i, idx := range selected {
-			out.ReviewIDs[i] = item.Reviews[idx].ID
-		}
-	}
-	return out
+	return store.Solve(rt, item, k, g, m, s.seed)
 }
 
 // DescribePair renders a pair like "screen resolution = +0.75" using
 // the configured ontology.
 func (s *Summarizer) DescribePair(p Pair) string {
-	return fmt.Sprintf("%s = %+.2f", s.metric.Ont.Name(p.Concept), p.Sentiment)
+	return fmt.Sprintf("%s = %+.2f", s.rt.Metric.Ont.Name(p.Concept), p.Sentiment)
 }

@@ -1,11 +1,13 @@
 package osars
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"osars/internal/dataset"
 	"osars/internal/ontology"
+	"osars/internal/sentiment"
 )
 
 func testSummarizer(t *testing.T) *Summarizer {
@@ -31,8 +33,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil ontology accepted")
 	}
-	if _, err := New(Config{Ontology: dataset.CellPhoneOntology(), Epsilon: -1}); err == nil {
-		t.Fatal("negative epsilon accepted")
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		// Both the default runtime and a custom Estimator's runtime
+		// must reject it: with a NaN ε, Definition 1's |s1 − s2| ≤ ε
+		// never holds, so only the root would cover anything.
+		for _, est := range []Estimator{nil, sentiment.Lexicon{}} {
+			if _, err := New(Config{Ontology: dataset.CellPhoneOntology(), Epsilon: eps, Estimator: est}); err == nil {
+				t.Fatalf("epsilon %v accepted (estimator %T)", eps, est)
+			}
+		}
 	}
 	s, err := New(Config{Ontology: dataset.CellPhoneOntology()})
 	if err != nil {
@@ -136,6 +145,9 @@ func TestSummarizeKClampedAndErrors(t *testing.T) {
 	}
 	if _, err := s.Summarize(item, 1, Pairs, Method(99)); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+	if _, err := s.Summarize(item, 2, Granularity(7), MethodGreedy); err == nil {
+		t.Fatal("unknown granularity accepted")
 	}
 }
 

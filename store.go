@@ -1,10 +1,7 @@
 package osars
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"osars/internal/shard"
@@ -21,9 +18,6 @@ import (
 // generation counter, summary-cache slice and WAL stream) behind the
 // same interface.
 type (
-	// StoredSummary is a summary computed by a Store; it additionally
-	// carries the item's corpus generation and the effective k.
-	StoredSummary = store.Summary
 	// ItemStats is the externally visible state of one stored item.
 	ItemStats = store.ItemStats
 	// StoreStats is a snapshot of store-level counters (cache hits,
@@ -66,7 +60,7 @@ type Store interface {
 	Len() int
 	// Summary returns the k-unit summary of the item's current corpus;
 	// cached reports whether it was answered without a new solve.
-	Summary(id string, k int, g Granularity, m Method) (*StoredSummary, bool, error)
+	Summary(id string, k int, g Granularity, m Method) (*Summary, bool, error)
 	// Delete removes an item and purges its cached summaries.
 	Delete(id string) (bool, error)
 	// Stats returns the store-level counters.
@@ -210,8 +204,6 @@ func (s *Summarizer) NewStore(opts StoreOptions) Store {
 // snapshots.
 func (s *Summarizer) OpenStore(opts StoreOptions) (Store, error) {
 	cfg := store.Config{
-		Metric:          s.metric,
-		Pipeline:        s.pipeline,
 		Runtime:         s.rt,
 		Seed:            s.seed,
 		MaxCacheEntries: opts.MaxCacheEntries,
@@ -232,72 +224,4 @@ func (s *Summarizer) OpenStore(opts StoreOptions) (Store, error) {
 		})
 	}
 	return store.New(cfg)
-}
-
-// StoredBatchRequest asks for one stored item's summary inside
-// SummarizeStoredBatchCtx.
-type StoredBatchRequest struct {
-	ID          string
-	K           int
-	Granularity Granularity
-	Method      Method
-}
-
-// StoredBatchResult pairs a stored-batch request's summary with its
-// error; Cached reports whether the summary was answered without a
-// new coverage solve.
-type StoredBatchResult struct {
-	Summary *StoredSummary
-	Cached  bool
-	Err     error
-}
-
-// SummarizeStoredBatchCtx summarizes many stored items concurrently
-// with a bounded worker pool, returning results aligned with the
-// requests. Against a sharded store the per-item solves fan out across
-// shards: each worker's Summary call routes to the owning shard, so
-// no two items on different shards contend on the same lock or cache.
-// workers ≤ 0 uses GOMAXPROCS. When ctx fires, in-flight solves run
-// to completion and every unprocessed slot carries ctx.Err().
-func SummarizeStoredBatchCtx(ctx context.Context, st Store, reqs []StoredBatchRequest, workers int) []StoredBatchResult {
-	results := make([]StoredBatchResult, len(reqs))
-	if len(reqs) == 0 {
-		return results
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					results[i] = StoredBatchResult{Err: err}
-					continue
-				}
-				sum, cached, err := st.Summary(reqs[i].ID, reqs[i].K, reqs[i].Granularity, reqs[i].Method)
-				results[i] = StoredBatchResult{Summary: sum, Cached: cached, Err: err}
-			}
-		}()
-	}
-dispatch:
-	for i := range reqs {
-		select {
-		case <-ctx.Done():
-			for j := i; j < len(reqs); j++ {
-				results[j] = StoredBatchResult{Err: ctx.Err()}
-			}
-			break dispatch
-		case jobs <- i:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return results
 }

@@ -2,6 +2,7 @@ package osars
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"osars/internal/dataset"
@@ -51,29 +52,56 @@ func TestStoreRoundTrip(t *testing.T) {
 
 // TestStoreMatchesStateless pins the contract that a stored item's
 // summary is identical to the stateless path's over the same corpus:
-// incremental annotation must not change the result.
+// incremental annotation must not change the result. Greedy summaries
+// are equal field for field but the corpus generation, at every
+// granularity, on unsharded and sharded stores, including a k past the
+// candidate count.
 func TestStoreMatchesStateless(t *testing.T) {
-	s, st := storeFixture(t)
-	// Ingest incrementally in two batches.
-	st.AppendReviews("p1", "Acme", storeReviews[:1])
-	st.AppendReviews("p1", "", storeReviews[1:])
-
+	s, err := New(Config{Ontology: dataset.CellPhoneOntology()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	item := s.AnnotateItem("p1", "Acme", storeReviews)
-	for _, g := range []Granularity{Pairs, Sentences, Reviews} {
-		for _, m := range []Method{MethodGreedy, MethodILP, MethodLocalSearch} {
-			want, err := s.Summarize(item, 2, g, m)
-			if err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 2} {
+		st := s.NewStore(StoreOptions{Shards: shards})
+		// Ingest incrementally in two batches.
+		if _, err := st.AppendReviews("p1", "Acme", storeReviews[:1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AppendReviews("p1", "", storeReviews[1:]); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []Granularity{Pairs, Sentences, Reviews} {
+			for _, k := range []int{1, 2, 3, 50} {
+				want, err := s.Summarize(item, k, g, MethodGreedy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := st.Summary("p1", k, g, MethodGreedy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stored := *got
+				stored.Generation = 0
+				if !reflect.DeepEqual(&stored, want) {
+					t.Fatalf("shards=%d %v k=%d: stored %+v\nstateless %+v", shards, g, k, &stored, want)
+				}
 			}
-			got, _, err := st.Summary("p1", 2, g, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cost != want.Cost {
-				t.Fatalf("%v/%v: stored cost %v != stateless cost %v", g, m, got.Cost, want.Cost)
-			}
-			if len(got.Indices) != len(want.Indices) {
-				t.Fatalf("%v/%v: stored %v != stateless %v", g, m, got.Indices, want.Indices)
+			for _, m := range []Method{MethodILP, MethodLocalSearch} {
+				want, err := s.Summarize(item, 2, g, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := st.Summary("p1", 2, g, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cost != want.Cost {
+					t.Fatalf("shards=%d %v/%v: stored cost %v != stateless cost %v", shards, g, m, got.Cost, want.Cost)
+				}
+				if len(got.Indices) != len(want.Indices) {
+					t.Fatalf("shards=%d %v/%v: stored %v != stateless %v", shards, g, m, got.Indices, want.Indices)
+				}
 			}
 		}
 	}

@@ -15,7 +15,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -131,24 +130,13 @@ func (s *Server) handlePutOntology(w http.ResponseWriter, r *http.Request) {
 	if !s.requireRegistry(w) {
 		return
 	}
-	limit := s.MaxBodyBytes
-	if limit <= 0 {
-		limit = 64 << 20
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-		return
-	}
-	e, err := osars.DecodeOntologyEntry(data)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	// DecodeOntologyEntry keeps no part of the pooled body: its strings
+	// and json.RawMessage are copies.
+	var e *osars.OntologyEntry
+	if !s.readBody(w, r, func(b []byte) (err error) {
+		e, err = osars.DecodeOntologyEntry(b)
+		return err
+	}) {
 		return
 	}
 	if name := r.PathValue("name"); e.Name != name {

@@ -337,36 +337,13 @@ func (s *Server) handleOntology(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.activeRuntime().Metric.Ont)
 }
 
-// decodeBody decodes a JSON request body under the byte budget,
-// writing the error response itself (413 for an over-limit body — the
-// http.MaxBytesError used to be swallowed into a generic 400 — and 400
-// for malformed JSON). Reports whether decoding succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	limit := s.MaxBodyBytes
-	if limit <= 0 {
-		limit = 64 << 20
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req SummarizeRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.readBody(w, r, req.decode) {
 		return
 	}
 	if req.K < 1 {
@@ -475,7 +452,7 @@ func (s *Server) handleAppendReviews(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AppendReviewsRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.readBody(w, r, req.decode) {
 		return
 	}
 	if len(req.Reviews) > s.MaxReviews {

@@ -137,6 +137,63 @@ func TestSummarizeValidation(t *testing.T) {
 			t.Errorf("%s: missing error body: %s", c.name, w.Body.String())
 		}
 	}
+	for _, c := range rawBodyCases(`"k":2`) {
+		w := doRaw(t, srv, http.MethodPost, "/v1/summarize", []byte(c.body))
+		checkRawBody(t, w, c.name, c.summarize)
+	}
+}
+
+// rawBodyCase is a request body and the status each endpoint answers
+// it with.
+type rawBodyCase struct {
+	name, body        string
+	summarize, append rawStatus
+}
+
+// rawStatus is a status code and, when err is set, a substring of the
+// error message.
+type rawStatus struct {
+	code int
+	err  string
+}
+
+// rawBodyCases pins the statuses of bodies that only raw JSON can
+// express. extra is a member added to the valid body's object.
+func rawBodyCases(extra string) []rawBodyCase {
+	valid := `{"item_id":"p1","reviews":[{"id":"r1","text":"The screen is excellent. The battery is awful."}],` + extra + `}`
+	withK := func(k string) string {
+		return `{"item_id":"p1","reviews":[{"id":"r1","text":"The screen is excellent."}],"k":` + k + `}`
+	}
+	ok := rawStatus{code: http.StatusOK}
+	bad := rawStatus{code: http.StatusBadRequest, err: "invalid JSON"}
+	return []rawBodyCase{
+		// The append body has no k: there it is an unknown key, skipped.
+		{"fractional k", withK("2.5"), bad, ok},
+		{"string k", withK(`"5"`), bad, ok},
+		{"exponent k", withK("1e2"), bad, ok},
+		{"20-digit k", withK("12345678901234567890"), bad, ok},
+		{"top-level array", "[" + valid + "]", bad, bad},
+		{"BOM", "\xef\xbb\xbf" + valid, bad, bad},
+		{"null body", "null", rawStatus{http.StatusBadRequest, "k must be ≥ 1"}, ok},
+		{"bytes after the object", valid + `{"k":`, ok, ok},
+	}
+}
+
+func checkRawBody(t *testing.T, w *httptest.ResponseRecorder, name string, want rawStatus) {
+	t.Helper()
+	if w.Code != want.code {
+		t.Errorf("%s: status = %d, want %d (%s)", name, w.Code, want.code, w.Body.String())
+		return
+	}
+	if want.err == "" {
+		return
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, want.err) {
+		t.Errorf("%s: error body %s, want it to contain %q", name, w.Body.String(), want.err)
+	}
 }
 
 func TestSummarizeRejectsOversized(t *testing.T) {

@@ -204,32 +204,53 @@ func TestAppendReviewsValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad JSON status = %d", rec.Code)
 	}
+	for _, c := range rawBodyCases(`"item_name":"Acme Phone"`) {
+		w := doRaw(t, srv, http.MethodPut, "/v1/items/p1/reviews", []byte(c.body))
+		checkRawBody(t, w, c.name, c.append)
+	}
 }
 
-// TestOversizedBody413 pins the satellite fix: a body over
-// MaxBodyBytes used to surface as "400 invalid JSON" because the
-// http.MaxBytesReader error was swallowed by the JSON decoder; it must
-// be a 413.
+// TestOversizedBody413 pins that a body over MaxBodyBytes gets 413 on
+// every endpoint that reads one: not a 400 from the JSON decoder, and
+// not a 200 when the body's JSON value ends under the limit and only
+// whitespace padding crosses it.
 func TestOversizedBody413(t *testing.T) {
 	srv := testServer(t)
-	srv.MaxBodyBytes = 64
+	onto, _, _ := ontoServer(t)
+	small, err := json.Marshal(validRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.MaxBodyBytes, onto.MaxBodyBytes = int64(len(small)), int64(len(small))
 	big := validRequest()
 	big.Reviews[0].Text = strings.Repeat("the screen is great. ", 50)
+	bigBody, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append(small, bytes.Repeat([]byte(" "), 4096)...)
+	_, entry := entryPayload(t, "phone", 0.9)
 	for _, c := range []struct {
+		srv          *Server
 		method, path string
+		body         []byte
 	}{
-		{http.MethodPost, "/v1/summarize"},
-		{http.MethodPut, "/v1/items/p1/reviews"},
+		{srv, http.MethodPost, "/v1/summarize", bigBody},
+		{srv, http.MethodPut, "/v1/items/p1/reviews", bigBody},
+		{srv, http.MethodPost, "/v1/summarize", padded},
+		{srv, http.MethodPut, "/v1/items/p1/reviews", padded},
+		{onto, http.MethodPut, "/v1/ontologies/phone", entry},
 	} {
-		w := do(t, srv, c.method, c.path, big)
+		label := fmt.Sprintf("%s %s, %d-byte body", c.method, c.path, len(c.body))
+		w := doRaw(t, c.srv, c.method, c.path, c.body)
 		if w.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s %s: status = %d, want 413 (%s)", c.method, c.path, w.Code, w.Body.String())
+			t.Errorf("%s: status = %d, want 413 (%s)", label, w.Code, w.Body.String())
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "exceeds") {
-			t.Errorf("%s %s: error body = %s", c.method, c.path, w.Body.String())
+			t.Errorf("%s: error body = %s", label, w.Body.String())
 		}
 	}
 }

@@ -8,9 +8,16 @@
 // distances, so one weighted target prices them all and every cost is
 // the multiset's. U is the candidate set: the pairs themselves for
 // k-Pairs Coverage, or the sentences / whole reviews for
-// k-Reviews/Sentences Coverage (§4.5); candidates are never merged. An
-// edge (u, w) with weight d means candidate u covers target w at
-// Definition-1 distance d.
+// k-Reviews/Sentences Coverage (§4.5). An edge (u, w) with weight d
+// means candidate u covers target w at Definition-1 distance d.
+//
+// Candidates with the same set of distinct pairs have the same edges,
+// so a Graph stores one forward row per candidate class and maps every
+// candidate to its class. Build gives each candidate its own class. The
+// incremental Index (index.go) gives candidates with equal pair sets one
+// class, so duplicate sentences and repeated pairs share a row. Every
+// per-candidate accessor reads through the class, so readers see the
+// same edges from either builder.
 //
 // The graph is built exactly as the paper describes: a first pass
 // buckets candidate pairs by concept; a second pass iterates, for each
@@ -42,9 +49,11 @@ import (
 )
 
 // Graph is the immutable coverage graph. Its adjacency is one forward
-// row per candidate and the transpose of those rows:
+// row per candidate class and the per-candidate transpose of those
+// rows:
 //
-//   - forward:  candidate u → (pair w, distance), ascending w
+//   - forward:  class c → (pair w, distance), ascending w; candidate u
+//     reads the row of its class
 //   - backward: pair w → (candidate u, distance), ascending u
 //
 // It also holds the per-pair root fallback distance (the depth of the
@@ -63,11 +72,19 @@ type Graph struct {
 	// NumCandidates is |U|.
 	NumCandidates int
 
-	// Forward rows: candidate u covers pairs fwdPair[u] (ascending) at
-	// distances fwdDist[u]. Build windows them out of two flat arrays;
-	// an Index's Freeze aliases the index's own rows (index.go). Every
-	// row is capacity-capped, so nothing appended to one can reach
-	// another row or storage a later merge extends.
+	// Candidate classes: class[u] is candidate u's class and first[c]
+	// class c's smallest member. Classes are numbered in order of their
+	// first members, so first ascends. Build uses one identity array for
+	// both; an Index's Freeze aliases prefixes of the index's own.
+	class []int32
+	first []int32
+
+	// Forward rows, one per class: every member of class c covers pairs
+	// fwdPair[c] (ascending) at distances fwdDist[c]. Build windows them
+	// out of two flat arrays; an Index's Freeze aliases the index's own
+	// rows (index.go). Every row is capacity-capped, so nothing appended
+	// to one can reach another row or storage a later merge extends.
+	// numEdges is |E| = Σ_u Degree(u), counted per candidate.
 	fwdPair  [][]int32
 	fwdDist  [][]int32
 	numEdges int
@@ -80,17 +97,33 @@ type Graph struct {
 	bwdOnce sync.Once
 
 	// initGains, when non-nil, is the warm-start seed maintained by the
-	// incremental Index (index.go): initGains[u] = Σ_w max(0,
-	// RootDist[w]−d(u,w)), each candidate's initial greedy key. Batch
+	// incremental Index (index.go): initGains[c] = Σ_w Weight[w]·max(0,
+	// RootDist[w]−d(c,w)), each class's initial greedy key. Batch
 	// builders leave it nil.
 	initGains []int64
 }
 
-// InitGains returns the per-candidate initial greedy gains maintained
-// by the incremental index that froze this graph, or nil for graphs
-// from the batch builders. The slice is shared and must be treated as
+// InitGains returns the per-class initial greedy gains maintained by
+// the incremental index that froze this graph, or nil for graphs from
+// the batch builders. The slice is shared and must be treated as
 // read-only.
 func (g *Graph) InitGains() []int64 { return g.initGains }
+
+// NumClasses reports the number of candidate classes: |U| for a
+// batch-built graph, the number of distinct candidate pair sets for an
+// index-frozen one.
+func (g *Graph) NumClasses() int { return len(g.first) }
+
+// ClassFirst returns the smallest candidate index in class c. Classes
+// are numbered in order of their first members.
+func (g *Graph) ClassFirst(c int) int { return int(g.first[c]) }
+
+// ClassRow returns the forward row every member of class c shares:
+// the pair indices, ascending, and the matching distances. The slices
+// alias the graph's storage and must not be modified.
+func (g *Graph) ClassRow(c int) (pairs, dists []int32) {
+	return g.fwdPair[c], g.fwdDist[c]
+}
 
 // Edge is one coverage relation reported by the iteration methods.
 type Edge struct {
@@ -99,7 +132,8 @@ type Edge struct {
 	Dist      int
 }
 
-// NumEdges reports |E|.
+// NumEdges reports |E|, counting each candidate's edges, shared row or
+// not.
 func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Covered calls fn for every pair covered by candidate u, in ascending
@@ -127,7 +161,7 @@ func (g *Graph) Coverers(w int, fn func(u int, dist int) bool) {
 }
 
 // Degree returns the number of pairs candidate u covers.
-func (g *Graph) Degree(u int) int { return len(g.fwdPair[u]) }
+func (g *Graph) Degree(u int) int { return len(g.fwdPair[g.class[u]]) }
 
 // CoveredRow returns the forward row of candidate u: the pair indices
 // it covers, ascending, and the matching Definition-1 distances. The
@@ -135,7 +169,7 @@ func (g *Graph) Degree(u int) int { return len(g.fwdPair[u]) }
 // the allocation- and closure-free counterpart of Covered for hot loops
 // (the greedy key updates walk these rows directly).
 func (g *Graph) CoveredRow(u int) (pairs, dists []int32) {
-	return g.fwdPair[u], g.fwdDist[u]
+	return g.ClassRow(int(g.class[u]))
 }
 
 // CoverersRow returns the backward row of pair w: the candidate
@@ -154,13 +188,14 @@ func (g *Graph) backward() (idx, cand, dist []int32) {
 	return g.bwdIdx, g.bwdCand, g.bwdDist
 }
 
-// buildBackward transposes the forward rows into the backward CSR by a
-// counting sort on the pair. Candidates are visited in ascending order,
-// so every backward row lists its coverers by ascending candidate.
+// buildBackward transposes the candidates' forward rows into the
+// backward CSR by a counting sort on the pair. Candidates are visited
+// in ascending order, so every backward row lists its coverers by
+// ascending candidate.
 func (g *Graph) buildBackward() {
 	idx := make([]int32, len(g.Pairs)+1)
-	for _, row := range g.fwdPair {
-		for _, w := range row {
+	for _, c := range g.class {
+		for _, w := range g.fwdPair[c] {
 			idx[w+1]++
 		}
 	}
@@ -170,12 +205,13 @@ func (g *Graph) buildBackward() {
 	next := append([]int32(nil), idx[:len(g.Pairs)]...)
 	cand := make([]int32, g.numEdges)
 	dist := make([]int32, g.numEdges)
-	for u, row := range g.fwdPair {
-		for i, w := range row {
+	for u, c := range g.class {
+		dists := g.fwdDist[c]
+		for i, w := range g.fwdPair[c] {
 			pos := next[w]
 			next[w]++
 			cand[pos] = int32(u)
-			dist[pos] = g.fwdDist[u][i]
+			dist[pos] = dists[i]
 		}
 	}
 	g.bwdIdx, g.bwdCand, g.bwdDist = idx, cand, dist
@@ -408,6 +444,16 @@ func (s *buildScratch) nextGen() uint32 {
 	return s.gen
 }
 
+// identity returns [0, 1, …, n−1]: the class and first-member array of
+// a graph whose every candidate is its own class.
+func identity(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 // buildClosure is the production §4.1 initialization. It differs from
 // the walker reference (reference_test.go) in three ways, none
 // observable in the output:
@@ -507,12 +553,15 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 		}
 	}
 
+	ids := identity(numCand)
 	g := &Graph{
 		Metric:        m,
 		Pairs:         pairs,
 		RootDist:      make([]int32, len(pairs)),
 		Weight:        weight,
 		NumCandidates: numCand,
+		class:         ids,
+		first:         ids,
 		fwdPair:       make([][]int32, numCand),
 		fwdDist:       make([][]int32, numCand),
 		numEdges:      len(edgeCand),

@@ -13,6 +13,9 @@ func BuildMultiset(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *G
 // RandomDAG exposes the random multi-parent ontology generator.
 var RandomDAG = randomDAG
 
+// DupItem exposes the duplicate-dense item generator.
+var DupItem = dupItem
+
 // AblationItems exposes the benchmark fixture's per-item pair
 // multisets.
 var AblationItems = ablationItems

@@ -21,12 +21,13 @@
 // re-probes ONLY the dirty bucket tails for the affected old targets
 // (found through the ontology's descendant sets, not a corpus scan),
 // and runs the normal closure scan for the delta's own targets. Each
-// edge found goes straight into its candidate's forward row, the only
-// adjacency the greedy reads. Freeze hands out a Graph whose forward
-// rows alias the index's own storage — O(|U|) slice headers, not an
-// O(|E|) copy — and which transposes them into its backward CSR only
-// if a reader asks for it (Graph.buildBackward). The equivalence tests
-// fuzz row identity against Build from scratch in both directions.
+// edge found goes straight into its class's forward row (below), the
+// only adjacency the greedy reads. Freeze hands out a Graph whose
+// forward rows alias the index's own storage — one slice header per
+// class, not an O(|E|) copy — and which transposes them into its
+// per-candidate backward CSR only if a reader asks for it
+// (Graph.buildBackward). The equivalence tests fuzz row identity
+// against Build from scratch in both directions.
 //
 // Targets are deduplicated exactly as Build does: an occurrence whose
 // (concept, sentiment) is already a target only raises that target's
@@ -34,13 +35,27 @@
 // gain grows with the weight, so the merge rescans the old part of the
 // target's buckets to credit them (no new edges can come from there).
 //
-// The index also maintains each candidate's initial greedy gain
-// Σ_w Weight[w]·max(0, RootDist[w] − d(u,w)) as it merges, so a frozen
+// Candidates fall into exact classes: candidates whose distinct targets
+// are the same set have the same forward row, gain and distances, so
+// the index keeps one row, one gain and one set of bucket occurrences
+// per class (Graph's class and first arrays map between the two).
+// Phase A resolves a candidate's pairs to targets first and then looks
+// its sorted target set up in classKeys: a known set joins its class
+// and adds no occurrence, dirty concept or edge, and a new set opens a
+// class whose occurrences go to the bucket tails. Everything after
+// phase A — buckets, stamps, gains, rows — works per class, so a
+// duplicate sentence costs one key lookup. A weight it raises still
+// reaches the old classes through the bumped-target rescan below.
+//
+// The index also maintains each class's initial greedy gain
+// Σ_w Weight[w]·max(0, RootDist[w] − d(c,w)) as it merges, so a frozen
 // graph carries the warm-start seed (Graph.InitGains) and GreedyWarm
 // can skip the O(|E|) key-initialization scan.
+
 package coverage
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,7 +74,6 @@ type Index struct {
 	gran   model.Granularity
 
 	numReviews int // reviews merged so far
-	numCand    int // |U|
 
 	// The Graph's W arrays: the distinct targets in first-occurrence
 	// order. pairs and rootDist are append-only, so frozen graphs alias
@@ -75,25 +89,37 @@ type Index struct {
 	slot     []int32
 	concepts []conceptState
 
-	// Per-candidate forward rows (candidate → covered targets,
-	// ascending target order — the same rows as buildClosure's). Old
-	// candidates only ever gain edges to NEW targets (their
-	// occurrences are immutable, so no new edge to an old target can
-	// involve them), and new targets are scanned in ascending order, so
-	// in-place tail appends preserve the sort. New candidates
-	// additionally receive old targets out of order during the patch
-	// phase; mergeLocked sorts that prefix once at the end.
+	// Candidate classes, as in Graph: class[u] is candidate u's class
+	// (len(class) = |U|), first[c] class c's smallest member and size[c]
+	// its member count. class and first are append-only, so frozen
+	// graphs alias prefixes of them. keys finds a target set's class;
+	// key collects the open candidate's targets.
+	class []int32
+	first []int32
+	size  []int32
+	keys  classKeys
+	key   []int32
+
+	// Per-class forward rows (class → covered targets, ascending target
+	// order — the same rows as buildClosure's for every member). Old
+	// classes only ever gain edges to NEW targets (their target sets
+	// are fixed, so no new edge to an old target can involve them), and
+	// new targets are scanned in ascending order, so in-place tail
+	// appends preserve the sort. New classes additionally receive old
+	// targets out of order during the patch phase; mergeLocked sorts
+	// that prefix once at the end. numEdges = Σ_c size[c]·len(fwdPair[c])
+	// counts every candidate's edges, as Graph.NumEdges does.
 	fwdPair  [][]int32
 	fwdDist  [][]int32
 	numEdges int
 
-	// gain[u] = Σ_w weight[w]·max(0, rootDist[w] − d(u,w)): the
-	// candidate's initial greedy key, maintained edge by edge.
+	// gain[c] = Σ_w weight[w]·max(0, rootDist[w] − d(c,w)): the class's
+	// initial greedy key, maintained edge by edge.
 	gain []int64
 
-	// Dedup scratch (candidate stamps per target scan, target stamps
-	// per merge), the concepts whose buckets this merge extended, and
-	// the old targets whose weight it raised.
+	// Dedup scratch (class stamps per target scan, target stamps per
+	// merge), the concepts whose buckets this merge extended, and the
+	// old targets whose weight it raised.
 	stamp  []uint32
 	gen    uint32
 	tStamp []uint32
@@ -107,10 +133,12 @@ type Index struct {
 
 // conceptState is the index's state for one concept the item mentions.
 type conceptState struct {
-	// Occurrence bucket in global candidate scan order (pass 1 of
-	// §4.1, kept live instead of rebuilt per solve).
-	cand []int32
-	sent []float64
+	// Occurrence bucket (pass 1 of §4.1, kept live instead of rebuilt
+	// per solve): one entry for each target of this concept in each
+	// class's set, in class order, holding the class and the target's
+	// sentiment.
+	class []int32
+	sent  []float64
 	// targets lists the target indices whose concept this is,
 	// ascending, so a merge finds the old targets under a dirty concept
 	// through its descendants instead of scanning every target, and an
@@ -118,8 +146,8 @@ type conceptState struct {
 	// distinct sentiments (at most 20 on a 1,000-review doctor item).
 	targets []int32
 	// tail is the bucket length before the current merge, so the
-	// merge's new occurrences are cand[tail:]; between merges it equals
-	// len(cand).
+	// merge's new occurrences are class[tail:]; between merges it
+	// equals len(class).
 	tail int32
 }
 
@@ -137,6 +165,7 @@ func NewIndex(m model.Metric, g model.Granularity) *Index {
 		metric: m,
 		gran:   g,
 		slot:   make([]int32, m.Ont.Len()),
+		keys:   classKeys{start: make([]int32, 1)},
 	}
 }
 
@@ -172,10 +201,10 @@ func (x *Index) Advance(item *model.Item) {
 	x.mergeLocked(item.Reviews[x.numReviews:])
 }
 
-// Freeze converts the index into an immutable Graph whose rows are
-// identical to Build from scratch over the merged corpus. The copy is
-// O(|U|) slice headers (the rows themselves are aliased, see
-// freezeLocked) and the result is memoized until the next merge.
+// Freeze converts the index into an immutable Graph whose candidate
+// rows are identical to Build from scratch over the merged corpus. The
+// copy is O(classes) slice headers (the rows themselves are aliased,
+// see freezeLocked) and the result is memoized until the next merge.
 func (x *Index) Freeze() *Graph {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -201,7 +230,7 @@ func (x *Index) Graph(item *model.Item) *Graph {
 	return x.freezeLocked()
 }
 
-// nextGenLocked advances the candidate-stamp generation (wrap-safe).
+// nextGenLocked advances the class-stamp generation (wrap-safe).
 func (x *Index) nextGenLocked() uint32 {
 	x.gen++
 	if x.gen == 0 {
@@ -225,12 +254,11 @@ func (x *Index) nextTargetGenLocked() uint32 {
 	return x.tGen
 }
 
-// addOccurrenceLocked files one occurrence of pair p in the open
-// candidate (index numCand): the concept's bucket tail and dirty mark,
-// and either a new target or a raised weight. Targets below
-// oldTargets predate the merge; bumpGen stamps the ones already
-// recorded in bumped.
-func (x *Index) addOccurrenceLocked(p model.Pair, oldTargets int, bumpGen uint32) {
+// targetLocked returns the target of pair p, an occurrence in the open
+// candidate: a new target, or a known one whose weight it raises.
+// Targets below oldTargets predate the merge; bumpGen stamps the ones
+// already recorded in bumped.
+func (x *Index) targetLocked(p model.Pair, oldTargets int, bumpGen uint32) int32 {
 	s := x.slot[p.Concept]
 	if s == 0 {
 		x.concepts = append(x.concepts, conceptState{})
@@ -238,12 +266,6 @@ func (x *Index) addOccurrenceLocked(p model.Pair, oldTargets int, bumpGen uint32
 		x.slot[p.Concept] = s
 	}
 	b := &x.concepts[s-1]
-	if int(b.tail) == len(b.cand) {
-		x.dirty = append(x.dirty, p.Concept)
-	}
-	b.cand = append(b.cand, int32(x.numCand))
-	b.sent = append(b.sent, p.Sentiment)
-
 	for _, w := range b.targets {
 		if x.pairs[w].Sentiment != p.Sentiment {
 			continue
@@ -253,45 +275,74 @@ func (x *Index) addOccurrenceLocked(p model.Pair, oldTargets int, bumpGen uint32
 			x.bumped = append(x.bumped, targetBump{w: w, before: x.weight[w]})
 		}
 		x.weight[w]++
-		return
+		return w
 	}
 	w := int32(len(x.pairs))
 	x.pairs = append(x.pairs, p)
 	x.rootDist = append(x.rootDist, int32(x.metric.Ont.Depth(p.Concept)))
 	x.weight = append(x.weight, 1)
 	b.targets = append(b.targets, w)
+	return w
 }
 
-// closeCandidateLocked ends the open candidate and gives it an empty
-// forward row.
+// closeCandidateLocked ends the open candidate, whose targets are in
+// key: its sorted target set joins a known class, or opens a class with
+// an empty forward row whose occurrences go to the bucket tails.
 func (x *Index) closeCandidateLocked() {
-	x.numCand++
-	x.fwdPair = append(x.fwdPair, nil)
-	x.fwdDist = append(x.fwdDist, nil)
-	x.gain = append(x.gain, 0)
+	slices.Sort(x.key)
+	key := slices.Compact(x.key)
+	c, fresh := x.keys.intern(key)
+	if fresh {
+		x.first = append(x.first, int32(len(x.class)))
+		x.size = append(x.size, 0)
+		x.fwdPair = append(x.fwdPair, nil)
+		x.fwdDist = append(x.fwdDist, nil)
+		x.gain = append(x.gain, 0)
+		for _, w := range key {
+			x.fileLocked(c, w)
+		}
+	}
+	x.class = append(x.class, c)
+	x.size[c]++
+	x.numEdges += len(x.fwdPair[c])
+	x.key = x.key[:0]
 }
 
-// mergeLocked is the merge: (A) append the delta's candidates and
-// occurrences, adding targets or raising old ones' weights, then credit
-// the raised weights to the old coverers, (B) probe the dirty bucket
-// tails for the affected OLD targets, (C) run the full closure scan for
-// the delta's NEW targets. Phase order mirrors the batch builder's two
-// passes: all occurrences land before any target scans.
+// fileLocked appends class c's occurrence of target w to the tail of
+// the target's concept bucket, marking the concept dirty on its first
+// occurrence in this merge.
+func (x *Index) fileLocked(c, w int32) {
+	p := x.pairs[w]
+	b := &x.concepts[x.slot[p.Concept]-1]
+	if int(b.tail) == len(b.class) {
+		x.dirty = append(x.dirty, p.Concept)
+	}
+	b.class = append(b.class, c)
+	b.sent = append(b.sent, p.Sentiment)
+}
+
+// mergeLocked is the merge: (A) append the delta's candidates, adding
+// targets or raising old ones' weights, and file the occurrences of the
+// classes they open, then credit the raised weights to the old
+// coverers, (B) probe the dirty bucket tails for the affected OLD
+// targets, (C) run the full closure scan for the delta's NEW targets.
+// Phase order mirrors the batch builder's two passes: all occurrences
+// land before any target scans.
 func (x *Index) mergeLocked(reviews []model.Review) {
 	ont := x.metric.Ont
 	oldTargets := len(x.pairs)
-	oldCand := x.numCand
+	oldClasses := len(x.first)
 
-	// Phase A: extend U and the buckets in the same scan order the
-	// batch builder's counting sort produces (candidates ascending,
-	// pairs within a group in order). A candidate is one pair, one
-	// sentence or one review. Targets keep first-occurrence order,
-	// Build's dedup order.
+	// Phase A: extend U in the batch builder's scan order (candidates
+	// ascending, pairs within a group in order). A candidate is one
+	// pair, one sentence or one review. Targets keep first-occurrence
+	// order, Build's dedup order, and classes the order of their first
+	// members.
 	bumpGen := x.nextTargetGenLocked()
 	for ri := range reviews {
 		for si := range reviews[ri].Sentences {
 			for _, p := range reviews[ri].Sentences[si].Pairs {
-				x.addOccurrenceLocked(p, oldTargets, bumpGen)
+				x.key = append(x.key, x.targetLocked(p, oldTargets, bumpGen))
 				if x.gran == model.GranularityPairs {
 					x.closeCandidateLocked()
 				}
@@ -304,12 +355,12 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 			x.closeCandidateLocked()
 		}
 	}
-	if cap(x.stamp) < x.numCand {
-		grown := make([]uint32, x.numCand)
+	if nc := len(x.first); cap(x.stamp) < nc {
+		grown := make([]uint32, nc)
 		copy(grown, x.stamp)
 		x.stamp = grown
 	}
-	x.stamp = x.stamp[:x.numCand]
+	x.stamp = x.stamp[:len(x.first)]
 	if cap(x.tStamp) < len(x.pairs) {
 		grown := make([]uint32, len(x.pairs))
 		copy(grown, x.tStamp)
@@ -353,25 +404,25 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 		x.scanTargetLocked(w, wholeBuckets, int64(x.weight[w]))
 	}
 
-	// New candidates received their OLD-target edges during phase B in
+	// New classes received their OLD-target edges during phase B in
 	// dirty-concept order, not target order; restore the ascending-target
 	// invariant by sorting that prefix (everything < oldTargets — phase
-	// C's new targets arrived after it, already ascending). Old
-	// candidates only gained ascending new targets and need nothing.
-	for u := oldCand; u < x.numCand; u++ {
-		row := x.fwdPair[u]
+	// C's new targets arrived after it, already ascending). Old classes
+	// only gained ascending new targets and need nothing.
+	for c := oldClasses; c < len(x.first); c++ {
+		row := x.fwdPair[c]
 		split := 0
 		for split < len(row) && row[split] < int32(oldTargets) {
 			split++
 		}
 		if split > 1 {
-			sort.Sort(fwdRowSorter{p: row[:split], d: x.fwdDist[u][:split]})
+			sort.Sort(fwdRowSorter{p: row[:split], d: x.fwdDist[c][:split]})
 		}
 	}
 
 	for _, c := range x.dirty {
 		b := &x.concepts[x.slot[c]-1]
-		b.tail = int32(len(b.cand))
+		b.tail = int32(len(b.class))
 	}
 	x.dirty = x.dirty[:0]
 	x.numReviews += len(reviews)
@@ -397,10 +448,10 @@ const (
 	// wholeBuckets probes every occurrence: a new target's full scan.
 	wholeBuckets bucketRange = iota
 	// bucketTails probes this merge's occurrences, which is all an OLD
-	// target can gain edges from: old candidates never appear in a
-	// tail, so the old edges' dedup decisions stand, and new
-	// candidates dedup among themselves in the same ancestor-major
-	// order the batch scan uses.
+	// target can gain edges from: old classes never appear in a tail,
+	// so the old edges' dedup decisions stand, and new classes dedup
+	// among themselves in the same ancestor-major order the batch scan
+	// uses.
 	bucketTails
 	// bucketHeads probes the occurrences that predate this merge: an
 	// old target's existing coverers, whose gains a raised weight
@@ -410,8 +461,8 @@ const (
 
 // scanTargetLocked runs the batch builder's per-target closure scan for
 // target w over the given bucket range, adding weight·max(0,
-// rootDist−d) to the gain of each coverer it finds and, except over
-// bucketHeads, appending the edge to the coverer's forward row.
+// rootDist−d) to the gain of each covering class it finds and, except
+// over bucketHeads, appending the edge to the class's forward row.
 func (x *Index) scanTargetLocked(w int, r bucketRange, weight int64) {
 	ont := x.metric.Ont
 	root := ont.Root()
@@ -426,7 +477,7 @@ func (x *Index) scanTargetLocked(w int, r bucketRange, weight int64) {
 			continue
 		}
 		b := &x.concepts[s-1]
-		lo, hi := 0, len(b.cand)
+		lo, hi := 0, len(b.class)
 		switch r {
 		case bucketTails:
 			lo = int(b.tail)
@@ -436,8 +487,8 @@ func (x *Index) scanTargetLocked(w int, r bucketRange, weight int64) {
 		isRoot := anc == root
 		d := dists[ai]
 		for bi := lo; bi < hi; bi++ {
-			cand := b.cand[bi]
-			if x.stamp[cand] == gen {
+			c := b.class[bi]
+			if x.stamp[c] == gen {
 				continue
 			}
 			if !isRoot {
@@ -449,61 +500,147 @@ func (x *Index) scanTargetLocked(w int, r bucketRange, weight int64) {
 					continue
 				}
 			}
-			x.stamp[cand] = gen
+			x.stamp[c] = gen
 			if diff := rd - d; diff > 0 {
-				x.gain[cand] += weight * int64(diff)
+				x.gain[c] += weight * int64(diff)
 			}
 			if r == bucketHeads {
 				continue
 			}
-			x.fwdPair[cand] = append(x.fwdPair[cand], int32(w))
-			x.fwdDist[cand] = append(x.fwdDist[cand], d)
-			x.numEdges++
+			x.fwdPair[c] = append(x.fwdPair[c], int32(w))
+			x.fwdDist[c] = append(x.fwdDist[c], d)
+			x.numEdges += int(x.size[c])
 		}
 	}
 }
 
-// freezeLocked materializes a Graph in O(|U|+|W|): the forward rows
-// are slice headers over the index's storage, and the backward CSR is
-// left to Graph.buildBackward, on first use. Aliasing is safe because
-// those arrays only ever grow by appends: pairs and rootDist are handed
-// out as capacity-capped prefixes, and so is each forward row — an
-// in-cap append by a later merge lands beyond the frozen length, an
-// over-cap append reallocates. weight is copied, since merges raise it
-// in place.
+// freezeLocked materializes a Graph in O(classes + |W|): the forward
+// rows are slice headers over the index's storage, and the backward CSR
+// is left to Graph.buildBackward, on first use. Aliasing is safe
+// because those arrays only ever grow by appends: pairs, rootDist,
+// class and first are handed out as capacity-capped prefixes, and so is
+// each forward row — an in-cap append by a later merge lands beyond the
+// frozen length, an over-cap append reallocates. weight and gain are
+// copied, since merges raise them in place.
 //
-// Forward row contents and order match buildClosure's exactly
+// Every candidate's row contents and order match buildClosure's exactly
 // (ascending target), which the equivalence tests fuzz via the
 // accessor-level row comparison.
 func (x *Index) freezeLocked() *Graph {
 	if x.frozen != nil {
 		return x.frozen
 	}
-	nt := len(x.pairs)
-	nc := x.numCand
+	nt, nu, nc := len(x.pairs), len(x.class), len(x.first)
 	g := &Graph{
 		Metric:        x.metric,
 		Pairs:         x.pairs[:nt:nt],
 		RootDist:      x.rootDist[:nt:nt],
 		Weight:        append(make([]int32, 0, nt), x.weight...),
-		NumCandidates: nc,
+		NumCandidates: nu,
+		class:         x.class[:nu:nu],
+		first:         x.first[:nc:nc],
 		fwdPair:       make([][]int32, nc),
 		fwdDist:       make([][]int32, nc),
 		numEdges:      x.numEdges,
-		initGains:     make([]int64, nc),
+		initGains:     append(make([]int64, 0, nc), x.gain...),
 	}
 	// Build from scratch returns a non-nil (empty) RootDist even for a
 	// pairless corpus; match that shape exactly.
 	if g.RootDist == nil {
 		g.RootDist = make([]int32, 0)
 	}
-	for u := 0; u < nc; u++ {
-		r := x.fwdPair[u]
-		g.fwdPair[u] = r[:len(r):len(r)]
-		d := x.fwdDist[u]
-		g.fwdDist[u] = d[:len(d):len(d)]
+	for c := range g.fwdPair {
+		r := x.fwdPair[c]
+		g.fwdPair[c] = r[:len(r):len(r)]
+		d := x.fwdDist[c]
+		g.fwdDist[c] = d[:len(d):len(d)]
 	}
-	copy(g.initGains, x.gain)
 	x.frozen = g
 	return g
+}
+
+// classKeys maps a candidate's target set — its distinct target
+// indices, ascending — to its class, numbering each new set as the next
+// class. Single targets, the sets of every pairs candidate and of most
+// sentences, are found by direct lookup. Every other set, the empty one
+// included, goes through an open-addressing hash table of classes whose
+// hits are checked against the stored set, so sets whose hashes collide
+// still get separate classes. Those sets are stored back to back in one
+// array; no set is allocated on its own.
+type classKeys struct {
+	one []int32 // one[w]: 1 + the class of {w}, or 0
+	// slots holds 1 + a class whose set is not a single target, or 0.
+	// Its length is a power of two, at most half of it used.
+	slots []int32
+	used  int
+	// The set of class c, when it is in slots, is
+	// sets[start[c]:start[c+1]]; other classes store none. len(start) is
+	// one more than the number of classes.
+	start []int32
+	sets  []int32
+}
+
+// intern returns the class of the target set key. A set not seen
+// before becomes the next class and fresh is true.
+func (k *classKeys) intern(key []int32) (c int32, fresh bool) {
+	next := int32(len(k.start) - 1)
+	if len(key) == 1 {
+		w := int(key[0])
+		if w >= len(k.one) {
+			k.one = append(k.one, make([]int32, w+1-len(k.one))...)
+		}
+		if k.one[w] != 0 {
+			return k.one[w] - 1, false
+		}
+		k.one[w] = next + 1
+	} else {
+		if 2*(k.used+1) > len(k.slots) {
+			k.grow()
+		}
+		i := k.probe(key)
+		if s := k.slots[i]; s != 0 {
+			return s - 1, false
+		}
+		k.slots[i] = next + 1
+		k.used++
+		k.sets = append(k.sets, key...)
+	}
+	k.start = append(k.start, int32(len(k.sets)))
+	return next, true
+}
+
+// set returns the target set of class c, which is in slots.
+func (k *classKeys) set(c int32) []int32 { return k.sets[k.start[c]:k.start[c+1]] }
+
+// probe returns the slot holding key's class, or the empty slot where
+// key belongs.
+func (k *classKeys) probe(key []int32) int {
+	mask := len(k.slots) - 1
+	for i := int(hashKey(key)) & mask; ; i = (i + 1) & mask {
+		if s := k.slots[i]; s == 0 || slices.Equal(k.set(s-1), key) {
+			return i
+		}
+	}
+}
+
+// grow doubles the slot table, starting at 16 slots, and reinserts the
+// classes it held.
+func (k *classKeys) grow() {
+	old := k.slots
+	k.slots = make([]int32, max(16, 2*len(old)))
+	for _, s := range old {
+		if s != 0 {
+			k.slots[k.probe(k.set(s-1))] = s
+		}
+	}
+}
+
+// hashKey mixes a target set into 32 bits.
+func hashKey(key []int32) uint32 {
+	h := uint64(len(key))
+	for _, w := range key {
+		h = (h ^ uint64(uint32(w))) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return uint32(h)
 }

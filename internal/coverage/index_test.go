@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -58,31 +60,57 @@ func randomItem(rng *rand.Rand, o *ontology.Ontology, numReviews int) *model.Ite
 	return item
 }
 
+// dupItem draws reviews over a handful of concepts and five
+// sentiments, so most pairs repeat an earlier one, in the same
+// sentence, the same review or an earlier review.
+func dupItem(rng *rand.Rand, o *ontology.Ontology, numReviews int) *model.Item {
+	concepts := make([]ontology.ConceptID, 2+rng.Intn(4))
+	for i := range concepts {
+		concepts[i] = ontology.ConceptID(rng.Intn(o.Len()))
+	}
+	item := &model.Item{ID: "dup", Name: "dup"}
+	for ri := 0; ri < numReviews; ri++ {
+		r := model.Review{ID: fmt.Sprintf("r%d", ri)}
+		for si := 0; si < 1+rng.Intn(3); si++ {
+			s := model.Sentence{Text: fmt.Sprintf("s%d/%d", ri, si)}
+			for pi := 0; pi < rng.Intn(4); pi++ {
+				s.Pairs = append(s.Pairs, model.Pair{
+					Concept:   concepts[rng.Intn(len(concepts))],
+					Sentiment: float64(rng.Intn(5)-2) / 2,
+				})
+			}
+			r.Sentences = append(r.Sentences, s)
+		}
+		item.Reviews = append(item.Reviews, r)
+	}
+	return item
+}
+
 var allGranularities = []model.Granularity{
 	model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
 }
 
 // requireInitGains asserts the index-maintained warm-start seed equals
-// the initial greedy gains computed from the graph.
+// the initial greedy gains computed from the graph, one per class.
 func requireInitGains(t *testing.T, g *Graph, label string) {
 	t.Helper()
 	gains := g.InitGains()
 	if gains == nil {
 		t.Fatalf("%s: frozen graph has no InitGains", label)
 	}
-	if len(gains) != g.NumCandidates {
-		t.Fatalf("%s: InitGains len = %d, want %d", label, len(gains), g.NumCandidates)
+	if len(gains) != g.NumClasses() {
+		t.Fatalf("%s: InitGains len = %d, want %d classes", label, len(gains), g.NumClasses())
 	}
-	for u := 0; u < g.NumCandidates; u++ {
+	for c := 0; c < g.NumClasses(); c++ {
 		want := int64(0)
-		pairs, dists := g.CoveredRow(u)
+		pairs, dists := g.ClassRow(c)
 		for i, w := range pairs {
 			if diff := g.RootDist[w] - dists[i]; diff > 0 {
 				want += int64(g.Weight[w]) * int64(diff)
 			}
 		}
-		if gains[u] != want {
-			t.Fatalf("%s: InitGains[%d] = %d, want %d", label, u, gains[u], want)
+		if gains[c] != want {
+			t.Fatalf("%s: InitGains[%d] = %d, want %d", label, c, gains[c], want)
 		}
 	}
 }
@@ -104,10 +132,74 @@ func requireIndexMatchesBuild(t *testing.T, m model.Metric, item *model.Item, sc
 			lbl := fmt.Sprintf("%s/%v/step%d(+%d)", label, g, step, chunk)
 			requireGraphsEqual(t, got, want, lbl)
 			requireInitGains(t, got, lbl)
+			requireClassInvariants(t, got, prefix, g, lbl)
 			if again := idx.Freeze(); again != got {
 				t.Fatalf("%s: Freeze not memoized between merges", lbl)
 			}
 		}
+	}
+}
+
+// candidateGroups returns the pair group of each candidate of the item
+// at the granularity, in candidate order.
+func candidateGroups(item *model.Item, g model.Granularity) [][]model.Pair {
+	switch g {
+	case model.GranularityPairs:
+		return pairGroups(item.Pairs())
+	case model.GranularitySentences:
+		groups, _ := SentenceGroups(item)
+		return groups
+	default:
+		groups, _ := ReviewGroups(item)
+		return groups
+	}
+}
+
+// requireClassInvariants asserts that an index-frozen graph's classes
+// are exactly the item's distinct candidate pair sets at the
+// granularity: first strictly ascends and holds each class's first
+// member, every member of a class has the class's distinct pair set,
+// and no two classes share a pair set.
+func requireClassInvariants(t *testing.T, g *Graph, item *model.Item, gran model.Granularity, label string) {
+	t.Helper()
+	groups := candidateGroups(item, gran)
+	if len(g.class) != len(groups) || g.NumCandidates != len(groups) {
+		t.Fatalf("%s: %d class entries for %d candidates", label, len(g.class), len(groups))
+	}
+	for c, u := range g.first {
+		if c > 0 && u <= g.first[c-1] {
+			t.Fatalf("%s: first[%d] = %d does not ascend past %d", label, c, u, g.first[c-1])
+		}
+		if g.class[u] != int32(c) {
+			t.Fatalf("%s: first member %d of class %d is in class %d", label, u, c, g.class[u])
+		}
+	}
+	owner := map[string]int32{} // distinct pair set → its class
+	for u, group := range groups {
+		set := map[model.Pair]bool{}
+		for _, p := range group {
+			set[p] = true
+		}
+		distinct := make([]string, 0, len(set))
+		for p := range set {
+			distinct = append(distinct, fmt.Sprintf("%d/%v", p.Concept, p.Sentiment))
+		}
+		sort.Strings(distinct)
+		key := strings.Join(distinct, ";")
+		c := g.class[u]
+		if want, ok := owner[key]; ok {
+			if c != want {
+				t.Fatalf("%s: candidate %d has class %d's pair set but class %d", label, u, want, c)
+			}
+			continue
+		}
+		if int(g.first[c]) != u {
+			t.Fatalf("%s: candidate %d opens pair set {%s} but joins class %d (first %d)", label, u, key, c, g.first[c])
+		}
+		owner[key] = c
+	}
+	if len(owner) != g.NumClasses() {
+		t.Fatalf("%s: %d distinct pair sets, %d classes", label, len(owner), g.NumClasses())
 	}
 }
 
@@ -156,8 +248,10 @@ func TestIndexMatchesBuildDiamond(t *testing.T) {
 }
 
 // TestIndexMatchesBuildFuzz fuzzes merge/freeze byte-equivalence
-// against from-scratch builds: random DAGs, random corpora, random
-// append schedules, all granularities, several epsilons.
+// against from-scratch builds, and the index's candidate classes
+// against the candidates' pair sets: random DAGs, random and
+// duplicate-dense corpora, random append schedules, all granularities,
+// several epsilons.
 func TestIndexMatchesBuildFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1138))
 	trials := 40
@@ -172,6 +266,13 @@ func TestIndexMatchesBuildFuzz(t *testing.T) {
 		schedule := randomSchedule(rng, len(item.Reviews))
 		requireIndexMatchesBuild(t, m, item, schedule,
 			fmt.Sprintf("fuzz%d(eps=%.1f)", trial, eps))
+	}
+	for trial := 0; trial < trials; trial++ {
+		o := randomDAG(t, rng, 3+rng.Intn(15))
+		eps := []float64{0.1, 0.3, 1.0}[rng.Intn(3)]
+		item := dupItem(rng, o, 1+rng.Intn(16))
+		requireIndexMatchesBuild(t, model.Metric{Ont: o, Epsilon: eps}, item,
+			randomSchedule(rng, len(item.Reviews)), fmt.Sprintf("dup%d(eps=%.1f)", trial, eps))
 	}
 }
 
@@ -203,28 +304,91 @@ func TestIndexGraphCatchUp(t *testing.T) {
 	}
 }
 
-// TestIndexFrozenGraphsImmutable checks that a frozen graph's rows are
-// not mutated by later merges (readers may hold graphs across appends).
+// TestIndexFrozenGraphsImmutable checks that a frozen graph's rows,
+// costs and classes are not mutated by later merges (readers may hold
+// graphs across appends), at every granularity, on a random corpus and
+// on one dense in duplicates, whose later candidates both join the
+// frozen graph's classes and open new ones.
 func TestIndexFrozenGraphsImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	o := randomDAG(t, rng, 10)
 	m := model.Metric{Ont: o, Epsilon: 0.5}
-	item := randomItem(rng, o, 8)
+	joined := false
+	for i, item := range []*model.Item{randomItem(rng, o, 8), dupItem(rng, o, 12)} {
+		half := len(item.Reviews) / 2
+		for _, g := range allGranularities {
+			lbl := fmt.Sprintf("item%d/%v", i, g)
+			idx := NewIndex(m, g)
+			idx.Merge(item.Reviews[:half])
+			snap := idx.Freeze()
+			before := graphEdges(t, snap)
+			var sel []int
+			if snap.NumCandidates > 0 {
+				sel = []int{0}
+			}
+			costBefore := snap.CostOf(sel)
+			numClasses := snap.NumClasses()
+			class := append([]int32(nil), snap.class...)
+			first := append([]int32(nil), snap.first...)
 
-	idx := NewIndex(m, model.GranularityReviews)
-	idx.Merge(item.Reviews[:4])
-	snap := idx.Freeze()
-	before := graphEdges(t, snap)
-	costBefore := snap.CostOf([]int{0})
+			idx.Merge(item.Reviews[half:])
+			later := idx.Freeze()
+			for u := snap.NumCandidates; u < later.NumCandidates; u++ {
+				joined = joined || int(later.class[u]) < numClasses
+			}
 
-	idx.Merge(item.Reviews[4:])
-	idx.Freeze()
-
-	if got := graphEdges(t, snap); fmt.Sprint(got) != fmt.Sprint(before) {
-		t.Fatal("frozen graph edges changed after a later merge")
+			if got := graphEdges(t, snap); fmt.Sprint(got) != fmt.Sprint(before) {
+				t.Fatalf("%s: frozen graph edges changed after a later merge", lbl)
+			}
+			if got := snap.CostOf(sel); got != costBefore {
+				t.Fatalf("%s: frozen graph CostOf changed after a later merge: %v → %v", lbl, costBefore, got)
+			}
+			if snap.NumClasses() != numClasses || !reflect.DeepEqual(snap.class, class) || !reflect.DeepEqual(snap.first, first) {
+				t.Fatalf("%s: frozen graph classes changed after a later merge", lbl)
+			}
+		}
 	}
-	if got := snap.CostOf([]int{0}); got != costBefore {
-		t.Fatalf("frozen graph CostOf changed after a later merge: %v → %v", costBefore, got)
+	if !joined {
+		t.Fatal("no later candidate joined a class of a frozen graph")
+	}
+}
+
+// TestClassKeysHashCollision interns two different target sets with
+// equal hashes, found by a birthday search over two-target sets: they
+// must get separate classes, and keep them after the slot table grows.
+func TestClassKeysHashCollision(t *testing.T) {
+	seen := map[uint32][2]int32{}
+	var sets [][2]int32
+search:
+	for hi := int32(1); hi < 1<<12; hi++ {
+		for lo := int32(0); lo < hi; lo++ {
+			set := [2]int32{lo, hi}
+			h := hashKey(set[:])
+			if other, ok := seen[h]; ok {
+				sets = [][2]int32{other, set}
+				break search
+			}
+			seen[h] = set
+		}
+	}
+	if sets == nil {
+		t.Fatal("no two two-target sets below 4096 collide")
+	}
+	keys := classKeys{start: make([]int32, 1)}
+	for want, set := range sets {
+		if c, fresh := keys.intern(set[:]); c != int32(want) || !fresh {
+			t.Fatalf("first intern of %v = (%d, %v), want (%d, true)", set, c, fresh, want)
+		}
+	}
+	// Three-target sets cannot equal either pair; 64 of them grow the
+	// table from 16 slots to 256.
+	for w := int32(0); w < 64; w++ {
+		keys.intern([]int32{w, w + 1, w + 2})
+	}
+	for want, set := range sets {
+		if c, fresh := keys.intern(set[:]); c != int32(want) || fresh {
+			t.Fatalf("intern of %v after growth = (%d, %v), want (%d, false)", set, c, fresh, want)
+		}
 	}
 }
 

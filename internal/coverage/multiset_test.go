@@ -160,32 +160,6 @@ func doctorItem(ont *ontology.Ontology, n int) *model.Item {
 	return pipe.AnnotateItem(raw.ID, raw.Name, raws)
 }
 
-// dupItem draws reviews over a handful of concepts and five
-// sentiments, so most pairs repeat an earlier one, in the same
-// sentence, the same review or an earlier review.
-func dupItem(rng *rand.Rand, o *ontology.Ontology, numReviews int) *model.Item {
-	concepts := make([]ontology.ConceptID, 2+rng.Intn(4))
-	for i := range concepts {
-		concepts[i] = ontology.ConceptID(rng.Intn(o.Len()))
-	}
-	item := &model.Item{ID: "dup", Name: "dup"}
-	for ri := 0; ri < numReviews; ri++ {
-		r := model.Review{ID: fmt.Sprintf("r%d", ri)}
-		for si := 0; si < 1+rng.Intn(3); si++ {
-			s := model.Sentence{Text: fmt.Sprintf("s%d/%d", ri, si)}
-			for pi := 0; pi < rng.Intn(4); pi++ {
-				s.Pairs = append(s.Pairs, model.Pair{
-					Concept:   concepts[rng.Intn(len(concepts))],
-					Sentiment: float64(rng.Intn(5)-2) / 2,
-				})
-			}
-			r.Sentences = append(r.Sentences, s)
-		}
-		item.Reviews = append(item.Reviews, r)
-	}
-	return item
-}
-
 // TestMultisetOracleDoctorItems checks Build's deduplicated graphs
 // against the multiset graphs on annotated doctor items at the
 // smallest, a middle and the largest Table 1 size, at every
@@ -215,7 +189,7 @@ func TestMultisetOracleRandom(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		o := coverage.RandomDAG(t, rng, 3+rng.Intn(12))
 		m := model.Metric{Ont: o, Epsilon: []float64{0.1, 0.5, 1.0}[trial%3]}
-		item := dupItem(rng, o, 1+rng.Intn(8))
+		item := coverage.DupItem(rng, o, 1+rng.Intn(8))
 		for _, g := range granularities {
 			requireMatchesMultiset(t, rng, coverage.Build(m, item, g), multisetGraph(m, item, g), true,
 				fmt.Sprintf("trial%d/%v", trial, g))
@@ -240,7 +214,7 @@ func TestMultisetOracleIndex(t *testing.T) {
 		o := coverage.RandomDAG(t, rng, 3+rng.Intn(12))
 		cases = append(cases, instance{
 			model.Metric{Ont: o, Epsilon: []float64{0.1, 0.5, 1.0}[trial%3]},
-			dupItem(rng, o, 2+rng.Intn(10)),
+			coverage.DupItem(rng, o, 2+rng.Intn(10)),
 		})
 	}
 	bumped := false
@@ -279,4 +253,105 @@ func TestMultisetOracleIndex(t *testing.T) {
 	if !bumped {
 		t.Fatal("no merge raised the weight of an existing target")
 	}
+}
+
+// requireClassesMatchMultiset asserts that an index-frozen graph, whose
+// candidates share forward rows by class, agrees with the multiset
+// graph of the same candidates, which keeps one row per candidate and
+// one target per pair: every candidate's row, Greedy's selections in
+// order against GreedyRebuild's for k up to |U| (past the class count,
+// where the zero-gain fill runs; warm-started from prev, the previous
+// step's result per k), and CostOf on random selections.
+func requireClassesMatchMultiset(t *testing.T, rng *rand.Rand, got, want *coverage.Graph, prev map[int]*summarize.Result, label string) {
+	t.Helper()
+	n := got.NumCandidates
+	if n != want.NumCandidates {
+		t.Fatalf("%s: NumCandidates = %d, multiset %d", label, n, want.NumCandidates)
+	}
+	target := make(map[model.Pair]int32, len(got.Pairs))
+	for w, p := range got.Pairs {
+		target[p] = int32(w)
+	}
+	for u := 0; u < n; u++ {
+		// A multiset target is one pair occurrence; every occurrence of
+		// a pair lies at the same distance from u as its target does.
+		dist := map[int32]int32{}
+		pairs, dists := want.CoveredRow(u)
+		for i, j := range pairs {
+			w := target[want.Pairs[j]]
+			if d, ok := dist[w]; ok && d != dists[i] {
+				t.Fatalf("%s: candidate %d covers two occurrences of pair %d at %d and %d", label, u, w, d, dists[i])
+			}
+			dist[w] = dists[i]
+		}
+		gp, gd := got.CoveredRow(u)
+		if len(gp) != len(dist) {
+			t.Fatalf("%s: candidate %d covers %d targets, multiset %d", label, u, len(gp), len(dist))
+		}
+		for i, w := range gp {
+			if d, ok := dist[w]; !ok || d != gd[i] || (i > 0 && gp[i-1] >= w) {
+				t.Fatalf("%s: candidate %d row %v at %v, multiset targets %v", label, u, gp, gd, dist)
+			}
+		}
+	}
+	order := summarize.GreedyRebuild(want, n).Selected
+	classes := got.NumClasses()
+	for _, k := range []int{1, 2, 3, classes - 1, classes, classes + 1, n} {
+		if k < 0 || k > n {
+			continue
+		}
+		res, _ := summarize.GreedyWarm(got, k, prev[k])
+		if !reflect.DeepEqual(res.Selected, order[:k]) {
+			t.Fatalf("%s/k=%d: Greedy selects %v, multiset GreedyRebuild %v", label, k, res.Selected, order[:k])
+		}
+		if c := want.CostOf(order[:k]); res.Cost != c {
+			t.Fatalf("%s/k=%d: Greedy costs %v, multiset %v", label, k, res.Cost, c)
+		}
+		prev[k] = res
+	}
+	for trial := 0; trial < 4; trial++ {
+		var sel []int
+		for u := 0; u < n; u++ {
+			if rng.Intn(3) == 0 {
+				sel = append(sel, u)
+			}
+		}
+		if g, w := got.CostOf(sel), want.CostOf(sel); g != w {
+			t.Fatalf("%s: CostOf(%v) = %v, multiset %v", label, sel, g, w)
+		}
+	}
+}
+
+// FuzzIndexClassesMatchMultiset merges a duplicate-dense item into an
+// index at every granularity and checks each frozen graph against the
+// multiset graph of the same prefix (requireClassesMatchMultiset). The
+// inputs decode into the seed of the random DAG and the item, the DAG's
+// size, ε, the number of reviews, and the append schedule: one chunk of
+// 0–3 reviews per byte of chunks (at most 16), then the rest.
+func FuzzIndexClassesMatchMultiset(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(1), uint8(6), []byte{1, 2, 3})
+	f.Add(int64(7), uint8(12), uint8(0), uint8(10), []byte{0, 1, 0, 4})
+	f.Add(int64(42), uint8(1), uint8(2), uint8(3), []byte{})
+	f.Add(int64(-5), uint8(15), uint8(3), uint8(11), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, seed int64, concepts, eps, reviews uint8, chunks []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		o := coverage.RandomDAG(t, rng, 1+int(concepts%16))
+		m := model.Metric{Ont: o, Epsilon: []float64{0, 0.5, 1, 2}[eps%4]}
+		item := coverage.DupItem(rng, o, 1+int(reviews%12))
+		for _, g := range granularities {
+			idx := coverage.NewIndex(m, g)
+			prev := map[int]*summarize.Result{}
+			for step, done := 0, 0; done < len(item.Reviews); step++ {
+				chunk := len(item.Reviews) - done
+				if step < min(len(chunks), 16) {
+					chunk = min(chunk, int(chunks[step]%4))
+				}
+				idx.Merge(item.Reviews[done : done+chunk])
+				done += chunk
+				prefix := &model.Item{ID: item.ID, Reviews: item.Reviews[:done]}
+				requireClassesMatchMultiset(t, rng, idx.Freeze(), multisetGraph(m, prefix, g), prev,
+					fmt.Sprintf("%v/step%d(%d reviews)", g, step, done))
+			}
+		}
+	})
 }

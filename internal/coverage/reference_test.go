@@ -104,14 +104,17 @@ func fillEdges(b *builder, groups [][]model.Pair) {
 }
 
 // finish appends the per-target edge lists, in target order, to the
-// per-candidate forward rows.
+// per-candidate forward rows; every candidate is its own class.
 func (b *builder) finish() *Graph {
+	ids := identity(b.numCand)
 	g := &Graph{
 		Metric:        b.metric,
 		Pairs:         b.pairs,
 		RootDist:      make([]int32, len(b.pairs)),
 		Weight:        b.weight,
 		NumCandidates: b.numCand,
+		class:         ids,
+		first:         ids,
 		fwdPair:       make([][]int32, b.numCand),
 		fwdDist:       make([][]int32, b.numCand),
 	}

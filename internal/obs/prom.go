@@ -6,6 +6,7 @@
 // the hot path and never blocks it — a scrape may observe a bucket
 // increment before the matching sum update (and vice versa), which
 // Prometheus tolerates by design.
+
 package obs
 
 import (

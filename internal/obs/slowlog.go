@@ -7,6 +7,7 @@
 // shard is -1 when the serving store has no shard notion (stateless
 // or unsharded). queue_wait is the time spent parked in an admission
 // queue (0 for ungated routes and fast-path admissions).
+
 package obs
 
 import (

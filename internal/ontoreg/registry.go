@@ -1,5 +1,6 @@
 // Registry of named, versioned ontology entries with optional
 // directory persistence and an atomically readable active runtime.
+
 package ontoreg
 
 import (

@@ -5,6 +5,7 @@
 // (tailing ↔ bootstrapping) with jittered exponential backoff around
 // connection failures, and publishes per-shard lag for /v1/repl/status
 // and the readiness probe.
+
 package repl
 
 import (

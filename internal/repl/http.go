@@ -16,6 +16,7 @@
 // compacted past gets 410 Gone plus the snapshot seq to bootstrap
 // from; a follower ahead of the primary (data loss on the primary)
 // gets 409 so the operator hears about it instead of a silent stall.
+
 package repl
 
 import (

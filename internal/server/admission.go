@@ -12,6 +12,7 @@
 // waiters on deadline or client disconnect), and once the queue is
 // full the server sheds load immediately with 429 + Retry-After — a
 // fast, actionable answer instead of a hung connection.
+
 package server
 
 import (

@@ -11,6 +11,7 @@
 // forever, when observability is off — the instrument pointers are nil
 // and the obs package's nil-receiver no-ops make every record a single
 // branch.
+
 package server
 
 import (

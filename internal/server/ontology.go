@@ -10,6 +10,7 @@
 // activation goes through the store's WAL, survives restart and ships
 // to followers through the repl stream, which is why replicas refuse
 // local activation (403) but accept uploads.
+
 package server
 
 import (

@@ -35,6 +35,7 @@
 // Each store.Store owns one commit queue, so a sharded store
 // (internal/shard) gets one independent committer per shard and the
 // shards' group commits overlap in the kernel.
+
 package store
 
 import (

@@ -5,6 +5,7 @@
 // are nil-receiver safe, every call site below degrades to a single
 // branch: the store code instruments unconditionally and never checks
 // "is observability on".
+
 package store
 
 import "osars/internal/obs"

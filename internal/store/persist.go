@@ -8,6 +8,7 @@
 // ingestion uses, so a recovered store is byte-identical to the
 // pre-crash store for every acknowledged write (including item
 // generations and timestamps, which are logged, not re-minted).
+
 package store
 
 import (

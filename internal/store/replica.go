@@ -14,6 +14,7 @@
 // ReplSnapshotRaw) expose the WAL and snapshot machinery replication
 // ships: they are defined here, next to the replica side, so the whole
 // store replication surface reads in one place.
+
 package store
 
 import (

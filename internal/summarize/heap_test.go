@@ -35,7 +35,7 @@ func TestHeapRandomOps(t *testing.T) {
 					bestU = u
 				}
 			}
-			u := candidate(h[0], idBits)
+			u := classOf(h[0], idBits)
 			if u != bestU || h[0]>>idBits != uint64(ref[u]) {
 				t.Fatalf("trial %d: root is (%d, gain %d), reference (%d, gain %d)",
 					trial, u, h[0]>>idBits, bestU, ref[bestU])
@@ -59,7 +59,7 @@ func TestHeapRandomOps(t *testing.T) {
 					return ref[a] > ref[b] || (ref[a] == ref[b] && a < b)
 				})
 				for i, v := range want {
-					if got := candidate(h[0], idBits); got != v {
+					if got := classOf(h[0], idBits); got != v {
 						t.Fatalf("trial %d: drain pop %d = %d, want %d", trial, i, got, v)
 					}
 					h = popMax(h)
@@ -95,7 +95,7 @@ func TestPackBits(t *testing.T) {
 		}
 		for _, u := range []int{0, tc.n - 1} {
 			e := entry(int(top), u, idBits)
-			if e>>idBits != top || candidate(e, idBits) != u {
+			if e>>idBits != top || classOf(e, idBits) != u {
 				t.Fatalf("n=%d u=%d: entry %#x does not round-trip gain %d", tc.n, u, e, top)
 			}
 		}

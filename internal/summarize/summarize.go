@@ -52,12 +52,15 @@ func checkK(g *coverage.Graph, k int) {
 }
 
 // greedyScratch is the pooled per-solve state of GreedyWarm: the
-// current pair distances and the heap. Slices grow geometrically and
-// are reused across solves, so a server solving cache misses in a
-// loop, even on a growing item, allocates only the returned Result.
+// current pair distances, the heap, and the selected-candidate marks of
+// the zero-gain fill (all false between solves). Slices grow
+// geometrically and are reused across solves, so a server solving cache
+// misses in a loop, even on a growing item, allocates only the returned
+// Result.
 type greedyScratch struct {
 	curDist []int32
 	heap    []uint64
+	picked  []bool
 }
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
@@ -72,50 +75,63 @@ func Greedy(g *coverage.Graph, k int) *Result {
 }
 
 // GreedyWarm is Algorithm 2's selection computed lazily (Minoux's
-// accelerated greedy, CELF in Leskovec et al., KDD 2007), optionally
-// checked against a previous selection.
+// accelerated greedy, CELF in Leskovec et al., KDD 2007) over the
+// graph's candidate classes, optionally checked against a previous
+// selection.
 //
-//   - Heap entries: one uint64 per candidate u, gain<<idBits |
-//     (idMask−u), with idBits = bits.Len(n). Gains are integers, so
+//   - Classes: the members of a class share one forward row, so they
+//     have equal gains, and Algorithm 2's tie-break prefers the class's
+//     first (smallest) member; once it is picked every other member has
+//     gain 0. The heap therefore holds one entry per class, and picking
+//     a class selects its first member. A batch-built graph has one
+//     class per candidate, so this is the per-candidate greedy.
+//   - Heap entries: one uint64 per class c, gain<<idBits | (idMask−c),
+//     with idBits = bits.Len(number of classes). Gains are integers, so
 //     comparing entries as unsigned integers orders them by larger gain
-//     first and then by smaller index: the order of Algorithm 2's
-//     tie-break. No gain exceeds C0 = Σ_w Weight[w]·RootDist[w], the
-//     cost of the empty summary; when C0 and the index do not fit in
-//     one word together (packBits), the solve falls back to
-//     GreedyRebuild, which makes the same selection.
+//     first and then by smaller class, which is the smaller first
+//     member since classes are numbered in order of their first
+//     members: the order of Algorithm 2's tie-break. No gain exceeds C0
+//     = Σ_w Weight[w]·RootDist[w], the cost of the empty summary; when
+//     C0 and the class do not fit in one word together (packBits), the
+//     solve falls back to GreedyRebuild, which makes the same
+//     selection.
 //   - Key initialization: when the graph carries maintained initial
 //     gains (Graph.InitGains, present on index-frozen graphs), the
-//     O(|E|) initialization scan becomes an O(|U|) copy.
-//   - Selection: stored gains are upper bounds — a candidate's gain
-//     only shrinks as F grows (submodularity), and stored gains are
-//     only ever set to a formerly exact gain. Read the root entry and
-//     recompute its candidate's exact gain over its covered row; if
-//     the gain still equals the stored one the root is the true argmax
-//     and is selected and removed, otherwise the root is overwritten
-//     with the refreshed entry and sifted down. No other entry is
-//     touched, so the backward adjacency is never walked.
+//     O(|E|) initialization scan becomes an O(classes) copy.
+//   - Selection: stored gains are upper bounds — a class's gain only
+//     shrinks as F grows (submodularity), and stored gains are only
+//     ever set to a formerly exact gain. Read the root entry and
+//     recompute its class's exact gain over its row; if the gain still
+//     equals the stored one the root is the true argmax and is selected
+//     and removed, otherwise the root is overwritten with the refreshed
+//     entry and sifted down. No other entry is touched, so the backward
+//     adjacency is never walked.
+//   - Zero-gain fill: once a fresh root's gain is 0 (or every class is
+//     picked), every unselected candidate has gain 0, and Algorithm 2
+//     takes the smallest unselected candidate indices in order; the
+//     solve appends those directly.
 //
 // The selection equals Algorithm 2's eager form (which updates the
 // keys of the picked candidate's neighbors-of-neighbors after every
 // pick) on every input, ties included: a fresh root's gain bounds
 // every other stored gain and therefore every other true gain, so its
-// candidate has maximal gain; and an equal-gain candidate with a
-// smaller index either sits fresh in the heap (its entry is larger, so
-// it reaches the root first) or sits stale with a larger gain (it
-// reaches the root even earlier, refreshes to the tied gain, and again
-// wins on the index bits). Entries are distinct, so the order in which
-// candidates reach the root depends only on the set of entries, not on
-// the heap's layout. Equivalence is fuzzed against GreedyRebuild
-// across batch-, index- and real-ontology graphs.
+// class has maximal gain; and an equal-gain class with a smaller index
+// either sits fresh in the heap (its entry is larger, so it reaches
+// the root first) or sits stale with a larger gain (it reaches the
+// root even earlier, refreshes to the tied gain, and again wins on the
+// index bits). Entries are distinct, so the order in which classes
+// reach the root depends only on the set of entries, not on the heap's
+// layout. Equivalence is fuzzed against GreedyRebuild, which scans
+// every candidate, across batch-, index- and real-ontology graphs.
 //
 // prev — the previous solve's selection at the same (k, granularity)
-// — is compared step by step; warm reports whether it survived the
-// corpus delta. A false return (nil prev, shorter prev, a divergence
+// — is compared with the selection; warm reports whether it survived
+// the corpus delta. A false return (nil prev, shorter prev, a divergence
 // caused by the delta, or the GreedyRebuild fallback) is the case the
 // store counts, not a different answer.
 func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool) {
 	checkK(g, k)
-	n := g.NumCandidates
+	nc := g.NumClasses()
 
 	s := greedyPool.Get().(*greedyScratch)
 	defer greedyPool.Put(s)
@@ -127,44 +143,64 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 		curDist[w] = d
 		c0 += int(d) * int(g.Weight[w])
 	}
-	idBits, ok := packBits(uint64(c0), n)
+	idBits, ok := packBits(uint64(c0), nc)
 	if !ok {
 		return GreedyRebuild(g, k), false
 	}
 
-	s.heap = slices.Grow(s.heap[:0], n)[:n]
+	s.heap = slices.Grow(s.heap[:0], nc)[:nc]
 	h := s.heap
 	if gains := g.InitGains(); gains != nil {
 		// Index-frozen graph: the initial gains, weights included, were
 		// maintained at merge time.
-		for u, gain := range gains[:n] {
-			h[u] = entry(int(gain), u, idBits)
+		for c, gain := range gains[:nc] {
+			h[c] = entry(int(gain), c, idBits)
 		}
 	} else {
-		for u := range h {
-			h[u] = entry(gainOf(g, curDist, u), u, idBits)
+		for c := range h {
+			pairs, dists := g.ClassRow(c)
+			h[c] = entry(gainOf(g, curDist, pairs, dists), c, idBits)
 		}
 	}
 	heapify(h)
 
-	warm = prev != nil && len(prev.Selected) >= k
 	res = &Result{Selected: make([]int, 0, k)}
-	for len(res.Selected) < k {
-		// Exact gain of the root's candidate, packed like the stored
-		// entry, so the freshness test is one comparison.
-		u := candidate(h[0], idBits)
-		if e := entry(gainOf(g, curDist, u), u, idBits); e != h[0] {
+	for len(res.Selected) < k && len(h) > 0 {
+		// Exact gain of the root's class, packed like the stored entry,
+		// so the freshness test is one comparison.
+		c := classOf(h[0], idBits)
+		pairs, dists := g.ClassRow(c)
+		gain := gainOf(g, curDist, pairs, dists)
+		if e := entry(gain, c, idBits); e != h[0] {
 			h[0] = e
 			siftDown(h, 0)
 			continue
 		}
-		h = popMax(h)
-		if warm && prev.Selected[len(res.Selected)] != u {
-			warm = false
+		if gain == 0 {
+			break
 		}
-		res.Selected = append(res.Selected, u)
-		cover(g, curDist, u)
+		h = popMax(h)
+		res.Selected = append(res.Selected, g.ClassFirst(c))
+		cover(curDist, pairs, dists)
 	}
+	if len(res.Selected) < k {
+		// Zero-gain fill: the smallest unselected candidates, in order.
+		// They lower no distance, so the cost below stands.
+		picked := slices.Grow(s.picked[:0], g.NumCandidates)[:g.NumCandidates]
+		s.picked = picked
+		for _, u := range res.Selected {
+			picked[u] = true
+		}
+		for u := 0; len(res.Selected) < k; u++ {
+			if !picked[u] {
+				res.Selected = append(res.Selected, u)
+			}
+		}
+		for _, u := range res.Selected {
+			picked[u] = false
+		}
+	}
+	warm = prev != nil && len(prev.Selected) >= k && slices.Equal(prev.Selected[:k], res.Selected)
 	total := 0
 	for w, d := range curDist {
 		total += int(d) * int(g.Weight[w])
@@ -173,47 +209,46 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 	return res, warm
 }
 
-// gainOf returns δ(u, F): how much adding candidate u lowers the cost
-// of the selection F whose per-target distances are curDist.
-func gainOf(g *coverage.Graph, curDist []int32, u int) int {
+// gainOf returns δ(F): how much adding a candidate whose forward row is
+// (pairs, dists) lowers the cost of the selection F whose per-target
+// distances are curDist.
+func gainOf(g *coverage.Graph, curDist, pairs, dists []int32) int {
 	gain := 0
-	pairsRow, distsRow := g.CoveredRow(u)
-	for i, w := range pairsRow {
-		if diff := curDist[w] - distsRow[i]; diff > 0 {
+	for i, w := range pairs {
+		if diff := curDist[w] - dists[i]; diff > 0 {
 			gain += int(diff) * int(g.Weight[w])
 		}
 	}
 	return gain
 }
 
-// cover adds candidate u to the selection whose per-target distances
-// are curDist.
-func cover(g *coverage.Graph, curDist []int32, u int) {
-	pairsRow, distsRow := g.CoveredRow(u)
-	for i, w := range pairsRow {
-		if d := distsRow[i]; d < curDist[w] {
+// cover adds a candidate whose forward row is (pairs, dists) to the
+// selection whose per-target distances are curDist.
+func cover(curDist, pairs, dists []int32) {
+	for i, w := range pairs {
+		if d := dists[i]; d < curDist[w] {
 			curDist[w] = d
 		}
 	}
 }
 
 // packBits returns the number of low bits a heap entry spends on the
-// candidate index for n candidates, and whether gains up to c0 fit in
-// the bits above them.
+// class index for n classes, and whether gains up to c0 fit in the bits
+// above them.
 func packBits(c0 uint64, n int) (idBits uint, ok bool) {
 	idBits = uint(bits.Len(uint(n)))
 	return idBits, uint(bits.Len64(c0))+idBits <= 64
 }
 
-// entry packs candidate u's gain into a heap word: the gain above
-// idBits low bits that hold the complement of u, so larger words have
-// larger gains and, among equal gains, smaller indices.
-func entry(gain, u int, idBits uint) uint64 {
-	return uint64(gain)<<idBits | (1<<idBits - 1 - uint64(u))
+// entry packs class c's gain into a heap word: the gain above idBits
+// low bits that hold the complement of c, so larger words have larger
+// gains and, among equal gains, smaller indices.
+func entry(gain, c int, idBits uint) uint64 {
+	return uint64(gain)<<idBits | (1<<idBits - 1 - uint64(c))
 }
 
-// candidate returns the candidate index packed into entry e.
-func candidate(e uint64, idBits uint) int {
+// classOf returns the class index packed into entry e.
+func classOf(e uint64, idBits uint) int {
 	mask := uint64(1)<<idBits - 1
 	return int(mask - e&mask)
 }
@@ -260,9 +295,10 @@ func siftDown(h []uint64, i int) {
 // GreedyRebuild is the reference implementation of Greedy (DESIGN.md
 // ablation 1): instead of refreshing heap keys lazily it recomputes
 // every candidate's gain after each selection and takes the first
-// maximum. Same output, asymptotically slower; the equivalence tests
-// compare Greedy against it, and GreedyWarm falls back to it when a
-// graph's gains are too large to pack.
+// maximum, one candidate at a time, with no classes and no fill rule.
+// Same output, asymptotically slower; the equivalence tests compare
+// Greedy against it, and GreedyWarm falls back to it when a graph's
+// gains are too large to pack.
 func GreedyRebuild(g *coverage.Graph, k int) *Result {
 	checkK(g, k)
 	n := g.NumCandidates
@@ -276,13 +312,15 @@ func GreedyRebuild(g *coverage.Graph, k int) *Result {
 			if selected[u] {
 				continue
 			}
-			if gain := gainOf(g, curDist, u); gain > bestGain {
+			pairs, dists := g.CoveredRow(u)
+			if gain := gainOf(g, curDist, pairs, dists); gain > bestGain {
 				bestU, bestGain = u, gain
 			}
 		}
 		selected[bestU] = true
 		res.Selected = append(res.Selected, bestU)
-		cover(g, curDist, bestU)
+		pairs, dists := g.CoveredRow(bestU)
+		cover(curDist, pairs, dists)
 	}
 	total := 0
 	for w, d := range curDist {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"osars/internal/coverage"
@@ -115,6 +116,85 @@ func TestGreedyWarmMatchesColdOnIndexGraphs(t *testing.T) {
 				requireSameResult(t, warmRes, cold,
 					fmt.Sprintf("trial%d/%v/n=%d/k=%d", trial, gran, n, k))
 				prev = warmRes
+			}
+		}
+	}
+}
+
+// TestGreedyWarmZeroGainFill pins the zero-gain fill on items whose
+// sentences are all identical or empty, so an index-frozen graph has a
+// handful of classes and most of a large k is filled with the smallest
+// unselected candidates: for every k from 1 to |U|, GreedyWarm on the
+// index-frozen graph and on Build's graph selects exactly as
+// GreedyRebuild does on Build's graph, replaying that selection is a
+// warm hit, and a previous selection that differs only in its last
+// candidate is not.
+func TestGreedyWarmZeroGainFill(t *testing.T) {
+	var b ontology.Builder
+	root := b.AddConcept("root")
+	staff := b.Child(root, "staff")
+	nurse := b.Child(staff, "nurse")
+	price := b.Child(root, "price")
+	o, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.Metric{Ont: o, Epsilon: 0.5}
+	same := []model.Pair{{Concept: nurse, Sentiment: 0.5}, {Concept: price, Sentiment: -1}, {Concept: nurse, Sentiment: 0.5}}
+	// item builds reviews of the given sentence counts; sentence i of
+	// the item has the pairs of same when pairs(i), and none otherwise.
+	item := func(counts []int, pairs func(i int) bool) *model.Item {
+		it := &model.Item{ID: "fill"}
+		i := 0
+		for ri, n := range counts {
+			r := model.Review{ID: fmt.Sprintf("r%d", ri)}
+			for si := 0; si < n; si++ {
+				s := model.Sentence{Text: fmt.Sprintf("s%d", i)}
+				if pairs(i) {
+					s.Pairs = same
+				}
+				r.Sentences = append(r.Sentences, s)
+				i++
+			}
+			it.Reviews = append(it.Reviews, r)
+		}
+		return it
+	}
+	counts := []int{2, 1, 3, 1, 2}
+	for name, it := range map[string]*model.Item{
+		"identical": item(counts, func(int) bool { return true }),
+		"mixed":     item(counts, func(i int) bool { return i%3 != 1 }),
+		"empty":     item(counts, func(int) bool { return false }),
+	} {
+		for _, gran := range []model.Granularity{
+			model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
+		} {
+			idx := coverage.NewIndex(m, gran)
+			idx.Merge(it.Reviews)
+			ig, bg := idx.Freeze(), coverage.Build(m, it, gran)
+			if gran == model.GranularitySentences && ig.NumClasses() > 2 {
+				t.Fatalf("%s/%v: %d classes, want at most 2", name, gran, ig.NumClasses())
+			}
+			for k := 1; k <= bg.NumCandidates; k++ {
+				lbl := fmt.Sprintf("%s/%v/k=%d", name, gran, k)
+				want := GreedyRebuild(bg, k)
+				wrong := &Result{Selected: append([]int(nil), want.Selected...)}
+				for u := 0; u < bg.NumCandidates && k < bg.NumCandidates; u++ {
+					if !slices.Contains(want.Selected, u) {
+						wrong.Selected[k-1] = u
+						break
+					}
+				}
+				for _, g := range []*coverage.Graph{ig, bg} {
+					got, _ := GreedyWarm(g, k, nil)
+					requireSameResult(t, got, want, lbl)
+					if _, hit := GreedyWarm(g, k, want); !hit {
+						t.Fatalf("%s: replaying the selection was not a warm hit", lbl)
+					}
+					if _, hit := GreedyWarm(g, k, wrong); hit && k < bg.NumCandidates {
+						t.Fatalf("%s: a previous selection ending in another candidate was a warm hit", lbl)
+					}
+				}
 			}
 		}
 	}

@@ -13,6 +13,7 @@
 //	offset 12: uint32 CRC32C over the payload
 //	offset 16: uint64 payload length
 //	offset 24: payload bytes (opaque to this package; the store uses JSON)
+
 package wal
 
 import (

@@ -14,6 +14,7 @@
 // cursor's sequence number now precedes the oldest retained record and
 // returns ErrCompacted, telling the follower to bootstrap from a
 // snapshot instead.
+
 package wal
 
 import (

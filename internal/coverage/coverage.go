@@ -406,13 +406,15 @@ type buildScratch struct {
 	bucketCand []int32   // candidate of each occurrence, grouped by concept
 	bucketSent []float64 // sentiment of each occurrence
 	cursor     []int32   // per-concept fill cursor
-	edgeCand   []int32   // every edge's candidate, in target order
-	edgePair   []int32   // every edge's target
-	edgeDist   []int32   // every edge's distance
+	edges      []edge    // every edge, in target order
 	candCount  []int32   // edges counted per candidate (+1 shifted)
 	stamp      []uint32  // per-candidate dedup stamps
 	gen        uint32
 }
+
+// edge is one coverage edge of buildClosure's scratch list: candidate
+// cand covers target pair at distance dist.
+type edge struct{ cand, pair, dist int32 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
@@ -463,10 +465,12 @@ func identity(n int) []int32 {
 //     order, same shortest up-distances);
 //  2. the concept buckets are a counting-sorted CSR block indexed by
 //     ConceptID instead of map[ConceptID][]bucketEntry;
-//  3. the edges are appended to one pooled flat edge list instead of
+//  3. the edges are appended to one pooled edge list instead of
 //     per-target [][]int32 append lists, and a counting sort by
 //     candidate moves them into two exact-size arrays that the forward
-//     rows window.
+//     rows window. One list of (cand, pair, dist) records regrows a
+//     third as often as three parallel lists would when a build misses
+//     the pool.
 //
 // weight == nil means all multiplicities are 1.
 func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, weight []int32) *Graph {
@@ -518,7 +522,7 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	// counting it for its candidate. BFS order in the row gives
 	// non-decreasing distances, so the first qualifying occurrence of a
 	// candidate is its minimum edge weight; the stamp dedups.
-	edgeCand, edgePair, edgeDist := s.edgeCand[:0], s.edgePair[:0], s.edgeDist[:0]
+	edges := s.edges[:0]
 	candCount := grow32(s.candCount, numCand+1)
 	for i := range candCount {
 		candCount[i] = 0
@@ -545,9 +549,7 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 					}
 				}
 				stamp[cand] = gen
-				edgeCand = append(edgeCand, cand)
-				edgePair = append(edgePair, int32(w))
-				edgeDist = append(edgeDist, d)
+				edges = append(edges, edge{cand, int32(w), d})
 				candCount[cand+1]++
 			}
 		}
@@ -564,7 +566,7 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 		first:         ids,
 		fwdPair:       make([][]int32, numCand),
 		fwdDist:       make([][]int32, numCand),
-		numEdges:      len(edgeCand),
+		numEdges:      len(edges),
 	}
 	if g.Weight == nil {
 		g.Weight = make([]int32, len(pairs))
@@ -582,16 +584,16 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	for u := 1; u <= numCand; u++ {
 		candCount[u] += candCount[u-1]
 	}
-	flatPair := make([]int32, len(edgeCand))
-	flatDist := make([]int32, len(edgeCand))
+	flatPair := make([]int32, len(edges))
+	flatDist := make([]int32, len(edges))
 	for u := range g.fwdPair {
 		lo, hi := candCount[u], candCount[u+1]
 		g.fwdPair[u] = flatPair[lo:lo:hi]
 		g.fwdDist[u] = flatDist[lo:lo:hi]
 	}
-	for i, u := range edgeCand {
-		g.fwdPair[u] = append(g.fwdPair[u], edgePair[i])
-		g.fwdDist[u] = append(g.fwdDist[u], edgeDist[i])
+	for _, e := range edges {
+		g.fwdPair[e.cand] = append(g.fwdPair[e.cand], e.pair)
+		g.fwdDist[e.cand] = append(g.fwdDist[e.cand], e.dist)
 	}
 
 	// Return the (possibly re-grown) scratch slices to the pool entry.
@@ -599,9 +601,7 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	s.bucketCand = bucketCand
 	s.bucketSent = bucketSent
 	s.cursor = cursor
-	s.edgeCand = edgeCand
-	s.edgePair = edgePair
-	s.edgeDist = edgeDist
+	s.edges = edges
 	s.candCount = candCount
 	return g
 }

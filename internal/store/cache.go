@@ -170,6 +170,11 @@ func summarySize(key cacheKey, sum *Summary) int64 {
 	n := int64(structOverhead)
 	n += int64(len(key.id)) + int64(len(key.ver)) + int64(len(sum.ItemID))
 	n += int64(8 * len(sum.Indices))
+	if sum.Method == MethodGreedy {
+		// A greedy selection's array also holds its k+1 prefix costs
+		// (summarize.Result.PrefixCost).
+		n += int64(8 * (len(sum.Indices) + 1))
+	}
 	n += int64(16 * len(sum.Pairs))
 	n += int64(16 * (len(sum.Sentences) + len(sum.ReviewIDs) + len(sum.Concepts))) // string headers
 	for _, s := range sum.Sentences {

@@ -25,8 +25,8 @@ type storeMetrics struct {
 	// Incremental coverage index instruments.
 	indexMergeSeconds  *obs.Histogram // append-path index merges (O(delta) maintenance)
 	indexRebuilds      *obs.Counter   // indexes built from scratch at solve time
-	indexWarmHits      *obs.Counter   // warm-start greedy replays confirmed
-	indexWarmFallbacks *obs.Counter   // warm-start seeds absent or invalidated
+	indexWarmHits      *obs.Counter   // greedy runs whose selection is a prefix of the stored one
+	indexWarmFallbacks *obs.Counter   // the other greedy runs
 
 	// Ontology lifecycle instruments.
 	reannotations *obs.Counter   // lazy re-annotations after an ontology swap
@@ -62,9 +62,9 @@ func newStoreMetrics(reg *obs.Registry, shard string) storeMetrics {
 			"Coverage indexes rebuilt from scratch at solve time (recovered snapshots, replicas, first solve of an item).",
 			"shard").With(shard),
 		indexWarmHits: reg.CounterVec("osars_store_index_warm_hits_total",
-			"Warm-start greedy solves whose previous selection replayed unchanged.", "shard").With(shard),
+			"Greedy runs whose selection is a prefix of the item's stored selection at that granularity.", "shard").With(shard),
 		indexWarmFallbacks: reg.CounterVec("osars_store_index_warm_fallbacks_total",
-			"Warm-start greedy solves with no usable seed or a seed invalidated by the corpus delta.",
+			"Greedy runs with no stored selection, a shorter one, or one the corpus delta changed.",
 			"shard").With(shard),
 		cacheHits: reg.CounterVec("osars_store_cache_hits_total",
 			"Summary-cache hits.", "shard").With(shard),

@@ -18,6 +18,9 @@
 //     with a stale cache entry.
 //   - Concurrent identical misses collapse into one coverage solve via
 //     singleflight.
+//   - Each item keeps its last greedy selection per granularity; a
+//     greedy miss for the same generation at an equal or smaller k
+//     renders its prefix instead of solving.
 package store
 
 import (
@@ -216,25 +219,38 @@ type entry struct {
 	// solved). Invalidated wherever annVer changes — the index is
 	// pinned to the ontology that annotated the corpus.
 	indexes [3]*coverage.Index
-	// warm holds the previous greedy selection per (k, granularity),
-	// the warm-start seed for the next solve of the appended corpus.
-	// Invalidated together with indexes.
-	warm map[warmKey]*summarize.Result
+	// greedy holds one published greedy selection per granularity (the
+	// zero value until the first greedy solve). Invalidated together
+	// with indexes.
+	greedy [3]greedySelection
 }
 
-// warmKey addresses one previous greedy result: the effective
-// (clamped) k and the granularity it was solved at.
-type warmKey struct {
-	k int
-	g model.Granularity
+// greedySelection is one published greedy solve of an item at one
+// granularity (res == nil: none). Algorithm 2 reads k only to stop, so
+// the greedy summary at any j ≤ len(res.Selected) is the prefix
+// res.Selected[:j], at cost res.PrefixCost[j]: a greedy request for the
+// same generation and runtime version renders that prefix instead of
+// solving. Published results are immutable.
+type greedySelection struct {
+	gen      uint64 // the item generation it was solved at
+	ver      string // the runtime version that annotated that generation
+	n        int    // |U|, the candidate count k is clamped to
+	numPairs int    // |P|, the summary's pair count
+	res      *summarize.Result
 }
 
-// invalidateIndexes drops the entry's incremental indexes and
-// warm-start seeds. Called (under s.mu) wherever annVer changes: a
+// prefix returns the greedy summary's selection at k ≤ len(Selected),
+// capacity-capped so that no caller can append into the shared array.
+func (sel greedySelection) prefix(k int) *summarize.Result {
+	return &summarize.Result{Selected: sel.res.Selected[:k:k], Cost: float64(sel.res.PrefixCost[k])}
+}
+
+// invalidateIndexes drops the entry's incremental indexes and greedy
+// selections. Called (under s.mu) wherever annVer changes: a
 // mixed-version append and the lazy re-annotation publish.
 func (e *entry) invalidateIndexes() {
 	e.indexes = [3]*coverage.Index{}
-	e.warm = nil
+	e.greedy = [3]greedySelection{}
 }
 
 // annVerMixed marks an entry whose merged annotations span more than
@@ -628,10 +644,11 @@ type Summary struct {
 }
 
 // Summary returns the k-unit summary of the item's current corpus.
-// cached reports whether the call was answered without running a new
-// coverage solve (LRU hit, or a concurrent identical solve was joined
-// via singleflight). The returned Summary is shared with the cache and
-// must be treated as read-only.
+// cached reports whether the summary cache answered the call: an LRU
+// hit, or a concurrent identical request joined via singleflight. A
+// miss is a solve, also when a greedy miss renders a prefix of the
+// item's stored selection. The returned Summary is shared with the
+// cache and must be treated as read-only.
 func (s *Store) Summary(id string, k int, g model.Granularity, m Method) (sum *Summary, cached bool, err error) {
 	if err := checkRequest(k, g, m); err != nil {
 		return nil, false, err
@@ -798,53 +815,70 @@ func (s *Store) graphFor(rt *ontoreg.Runtime, item *model.Item, g model.Granular
 	return coverage.Build(rt.Metric, item, g)
 }
 
-// warmResult fetches the previous greedy selection cached on the entry
-// for this (k, granularity), if its annotations still match.
-func (s *Store) warmResult(id, ver string, k int, g model.Granularity) *summarize.Result {
+// storedGreedy returns the item's published greedy selection at
+// granularity g if runtime version ver solved it, or the zero value.
+func (s *Store) storedGreedy(id, ver string, g model.Granularity) greedySelection {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.items[id]
-	if !ok || e.annVer != ver || e.warm == nil {
-		return nil
+	if e, ok := s.items[id]; ok && e.greedy[g].res != nil && e.greedy[g].ver == ver {
+		return e.greedy[g]
 	}
-	return e.warm[warmKey{k: k, g: g}]
+	return greedySelection{}
 }
 
-// storeWarm records a greedy selection as the warm-start seed for the
-// next solve at the same (k, granularity).
-func (s *Store) storeWarm(id, ver string, k int, g model.Granularity, res *summarize.Result) {
+// publishGreedy stores sel as the item's greedy selection at g when
+// the entry's annotations still match it and the stored selection is
+// absent, of an older generation or another version, or of the same
+// generation and shorter.
+func (s *Store) publishGreedy(id string, g model.Granularity, sel greedySelection) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.items[id]
-	if !ok || e.annVer != ver {
+	if !ok || e.annVer != sel.ver {
 		return
 	}
-	if e.warm == nil {
-		e.warm = make(map[warmKey]*summarize.Result)
+	old := e.greedy[g]
+	if old.res == nil || old.gen < sel.gen || old.ver != sel.ver ||
+		(old.gen == sel.gen && len(old.res.Selected) < len(sel.res.Selected)) {
+		e.greedy[g] = sel
 	}
-	e.warm[warmKey{k: k, g: g}] = res
 }
 
 // solve runs the coverage solve on an immutable item snapshot under
 // the pinned runtime. Graph acquisition (cold build or index freeze)
 // and the selection algorithm are timed separately:
-// osars_store_graph_build_seconds vs osars_store_solve_seconds.
+// osars_store_graph_build_seconds vs osars_store_solve_seconds. A
+// greedy request whose generation was already solved at an equal or
+// larger k renders the stored selection's prefix without acquiring a
+// graph.
 func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, g model.Granularity, m Method) (*Summary, error) {
 	s.solves.Add(1)
+	var stored greedySelection
+	if m == MethodGreedy {
+		stored = s.storedGreedy(item.ID, rt.Version, g)
+		if stored.res != nil && stored.gen == gen && len(stored.res.Selected) >= min(k, stored.n) {
+			start := time.Now()
+			k = min(k, stored.n)
+			sum := newSummary(rt, item, gen, k, g, m, stored.numPairs, stored.prefix(k))
+			s.metrics.solveSeconds[m].ObserveSince(start)
+			return sum, nil
+		}
+	}
 	buildStart := time.Now()
 	graph := s.graphFor(rt, item, g)
 	s.metrics.graphSeconds.ObserveSince(buildStart)
 	k = min(k, graph.NumCandidates)
 	solveStart := time.Now()
-	// Greedy warm-starts from the previous selection at this (k,
-	// granularity); the result is identical either way.
-	var prev *summarize.Result
-	if m == MethodGreedy {
-		prev = s.warmResult(item.ID, rt.Version, k, g)
-	}
-	res, hit, err := selectUnits(graph, k, m, s.seed, prev)
+	// Greedy is compared with the stored selection at this granularity;
+	// the result is identical either way.
+	res, hit, err := selectUnits(graph, k, m, s.seed, stored.res)
 	if err != nil {
 		return nil, err
+	}
+	// The graph's targets are P's distinct pairs; their weights sum to |P|.
+	numPairs := 0
+	for _, w := range graph.Weight {
+		numPairs += int(w)
 	}
 	if m == MethodGreedy {
 		if hit {
@@ -854,12 +888,7 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 			s.warmFallbacks.Add(1)
 			s.metrics.indexWarmFallbacks.Inc()
 		}
-		s.storeWarm(item.ID, rt.Version, k, g, res)
-	}
-	// The graph's targets are P's distinct pairs; their weights sum to |P|.
-	numPairs := 0
-	for _, w := range graph.Weight {
-		numPairs += int(w)
+		s.publishGreedy(item.ID, g, greedySelection{gen: gen, ver: rt.Version, n: graph.NumCandidates, numPairs: numPairs, res: res})
 	}
 	sum := newSummary(rt, item, gen, k, g, m, numPairs, res)
 	s.metrics.solveSeconds[m].ObserveSince(solveStart)
@@ -905,9 +934,9 @@ func checkRequest(k int, g model.Granularity, m Method) error {
 
 // selectUnits runs method m's selection of k candidates on graph: the
 // one call site of the selection algorithms for summary requests. m
-// has passed checkRequest. prev is greedy's warm-start seed (nil for
-// none) and hit reports whether greedy could use it; seed seeds
-// randomized rounding.
+// has passed checkRequest. prev is a previous greedy selection to
+// compare with (nil for none) and hit reports whether the greedy's
+// selection is a prefix of it; seed seeds randomized rounding.
 func selectUnits(graph *coverage.Graph, k int, m Method, seed int64, prev *summarize.Result) (res *summarize.Result, hit bool, err error) {
 	switch m {
 	case MethodGreedy:
@@ -987,7 +1016,8 @@ type Stats struct {
 
 	// Incremental coverage index counters: append-path merges, lazy
 	// solve-time rebuilds (first solve, recovered snapshots, replicas),
-	// and warm-start greedy hit/fallback totals.
+	// and the greedy runs split by whether their selection is a prefix
+	// of the stored one (a rendered prefix is neither).
 	IndexMerges        uint64 `json:"index_merges,omitempty"`
 	IndexRebuilds      uint64 `json:"index_rebuilds,omitempty"`
 	IndexWarmHits      uint64 `json:"index_warm_hits,omitempty"`

@@ -33,6 +33,11 @@ import (
 type Result struct {
 	Selected []int
 	Cost     float64
+	// PrefixCost, set by the greedy, holds the integer cost of every
+	// prefix of Selected: PrefixCost[j] is the cost of Selected[:j], and
+	// Cost is float64(PrefixCost[len(Selected)]). Algorithm 2 reads k
+	// only to stop, so Selected[:j] is also the greedy selection at j.
+	PrefixCost []int
 
 	// Diagnostics, populated by the algorithm that produced the
 	// result; zero when not applicable.
@@ -124,11 +129,17 @@ func Greedy(g *coverage.Graph, k int) *Result {
 // layout. Equivalence is fuzzed against GreedyRebuild, which scans
 // every candidate, across batch-, index- and real-ontology graphs.
 //
-// prev — the previous solve's selection at the same (k, granularity)
-// — is compared with the selection; warm reports whether it survived
-// the corpus delta. A false return (nil prev, shorter prev, a divergence
-// caused by the delta, or the GreedyRebuild fallback) is the case the
-// store counts, not a different answer.
+// The greedy records the cost of every prefix as it picks
+// (Result.PrefixCost: C0 minus the running gain; the fill repeats the
+// last cost). k only ends the loop, so the selection at any j ≤ k is
+// Selected[:j].
+//
+// prev — a previous selection at this granularity, such as the one the
+// store keeps per item — is compared with the selection; warm reports
+// whether the selection is a prefix of prev. A false return (nil prev,
+// shorter prev, a divergence caused by a corpus delta, or the
+// GreedyRebuild fallback) is the case the store counts, not a
+// different answer.
 func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool) {
 	checkK(g, k)
 	nc := g.NumClasses()
@@ -164,7 +175,7 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 	}
 	heapify(h)
 
-	res = &Result{Selected: make([]int, 0, k)}
+	res = newGreedyResult(k, c0)
 	for len(res.Selected) < k && len(h) > 0 {
 		// Exact gain of the root's class, packed like the stored entry,
 		// so the freshness test is one comparison.
@@ -180,12 +191,12 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 			break
 		}
 		h = popMax(h)
-		res.Selected = append(res.Selected, g.ClassFirst(c))
+		res.pick(g.ClassFirst(c), gain)
 		cover(curDist, pairs, dists)
 	}
 	if len(res.Selected) < k {
 		// Zero-gain fill: the smallest unselected candidates, in order.
-		// They lower no distance, so the cost below stands.
+		// They lower no distance, so the cost stands.
 		picked := slices.Grow(s.picked[:0], g.NumCandidates)[:g.NumCandidates]
 		s.picked = picked
 		for _, u := range res.Selected {
@@ -193,7 +204,7 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 		}
 		for u := 0; len(res.Selected) < k; u++ {
 			if !picked[u] {
-				res.Selected = append(res.Selected, u)
+				res.pick(u, 0)
 			}
 		}
 		for _, u := range res.Selected {
@@ -201,12 +212,25 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 		}
 	}
 	warm = prev != nil && len(prev.Selected) >= k && slices.Equal(prev.Selected[:k], res.Selected)
-	total := 0
-	for w, d := range curDist {
-		total += int(d) * int(g.Weight[w])
-	}
-	res.Cost = float64(total)
 	return res, warm
+}
+
+// newGreedyResult returns an empty greedy Result with room for k picks,
+// whose empty prefix costs c0. Selected and PrefixCost share one
+// allocation, each capped at its own capacity.
+func newGreedyResult(k, c0 int) *Result {
+	buf := make([]int, 2*k+1)
+	buf[k] = c0
+	return &Result{Selected: buf[:0:k], Cost: float64(c0), PrefixCost: buf[k : k+1 : 2*k+1]}
+}
+
+// pick appends candidate u, whose gain over the selection so far is
+// gain, and records the cost of the longer prefix.
+func (r *Result) pick(u, gain int) {
+	c := r.PrefixCost[len(r.Selected)] - gain
+	r.Selected = append(r.Selected, u)
+	r.PrefixCost = append(r.PrefixCost, c)
+	r.Cost = float64(c)
 }
 
 // gainOf returns δ(F): how much adding a candidate whose forward row is
@@ -304,8 +328,12 @@ func GreedyRebuild(g *coverage.Graph, k int) *Result {
 	n := g.NumCandidates
 	curDist := make([]int32, len(g.Pairs))
 	copy(curDist, g.RootDist)
+	c0 := 0
+	for w, d := range curDist {
+		c0 += int(d) * int(g.Weight[w])
+	}
 	selected := make([]bool, n)
-	res := &Result{Selected: make([]int, 0, k)}
+	res := newGreedyResult(k, c0)
 	for len(res.Selected) < k {
 		bestU, bestGain := -1, -1
 		for u := 0; u < n; u++ {
@@ -318,15 +346,10 @@ func GreedyRebuild(g *coverage.Graph, k int) *Result {
 			}
 		}
 		selected[bestU] = true
-		res.Selected = append(res.Selected, bestU)
+		res.pick(bestU, bestGain)
 		pairs, dists := g.CoveredRow(bestU)
 		cover(curDist, pairs, dists)
 	}
-	total := 0
-	for w, d := range curDist {
-		total += int(d) * int(g.Weight[w])
-	}
-	res.Cost = float64(total)
 	return res
 }
 

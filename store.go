@@ -59,7 +59,8 @@ type Store interface {
 	// Len returns the number of items.
 	Len() int
 	// Summary returns the k-unit summary of the item's current corpus;
-	// cached reports whether it was answered without a new solve.
+	// cached reports whether the summary cache answered it (an LRU hit
+	// or a joined concurrent request).
 	Summary(id string, k int, g Granularity, m Method) (*Summary, bool, error)
 	// Delete removes an item and purges its cached summaries.
 	Delete(id string) (bool, error)

@@ -21,6 +21,9 @@
 // Decoded strings are copies, never substrings of the body: the buffer
 // goes back to the pool, and the store keeps raw review texts for as
 // long as their item lives.
+//
+// A summary read's query parameters are scanned in place (queryGet)
+// instead of being parsed into a url.Values map.
 
 package server
 
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,7 +46,17 @@ import (
 // does not stay allocated after its request.
 const maxPooledBody = 1 << 20
 
+// bodyPool holds the buffers request bodies are read into and summary
+// responses are assembled in.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBuffer returns buf to bodyPool unless it grew past maxPooledBody.
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
+}
 
 // readBody reads the whole request body under MaxBodyBytes into a
 // pooled buffer and passes it to decode. It answers 413 when the body
@@ -55,12 +69,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, decode func(b 
 		limit = 64 << 20
 	}
 	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodyPool.Put(buf)
-		}
-	}()
+	defer putBuffer(buf)
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
@@ -448,4 +457,38 @@ func (d *decoder) fail(want string) error {
 		return io.ErrUnexpectedEOF
 	}
 	return fmt.Errorf("want %s at offset %d, have %q", want, d.i, d.b[d.i])
+}
+
+// queryGet returns the first value of key in the raw query as
+// url.ParseQuery followed by Values.Get reads it, scanning the query in
+// place instead of building the map: pairs are split at '&', an empty
+// pair or one that holds ';' is skipped, a pair without '=' has the
+// empty value, and a pair whose key or value fails to unescape is
+// skipped. FuzzSummaryQuery holds it to that.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, ok := queryUnescape(k); !ok || k != key {
+			continue
+		}
+		if v, ok := queryUnescape(v); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// queryUnescape unescapes a query key or value as url.QueryUnescape
+// does, which it calls only when s holds '%' or '+'.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }

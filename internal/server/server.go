@@ -86,7 +86,9 @@ type RawReview struct {
 	Rating float64 `json:"rating"`
 }
 
-// SummarizeResponse is the POST /v1/summarize reply.
+// SummarizeResponse is the POST /v1/summarize reply. The server
+// writes it, and ItemSummaryResponse, without reflection (encode.go);
+// the types document the wire schema that clients decode.
 type SummarizeResponse struct {
 	ItemID      string     `json:"item_id"`
 	Granularity string     `json:"granularity"`
@@ -393,31 +395,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, summaryResponse(sum, start))
-}
-
-// summaryResponse renders a summary in the wire shape both summary
-// endpoints answer with. Concept names come from Summary.Concepts,
-// captured at solve time under the SOLVING ontology: resolving the
-// ConceptIDs against the currently active ontology would be wrong the
-// moment an activation lands between solve and render.
-func summaryResponse(sum *osars.Summary, start time.Time) SummarizeResponse {
-	resp := SummarizeResponse{
-		ItemID:          sum.ItemID,
-		Granularity:     sum.Granularity.String(),
-		Method:          sum.Method.String(),
-		Cost:            sum.Cost,
-		NumPairs:        sum.NumPairs,
-		Sentences:       sum.Sentences,
-		ReviewIDs:       sum.ReviewIDs,
-		Ontology:        sum.Ontology,
-		OntologyVersion: sum.OntologyVersion,
-		ElapsedMS:       float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for i, p := range sum.Pairs {
-		resp.Pairs = append(resp.Pairs, PairJSON{Concept: sum.Concepts[i], Sentiment: p.Sentiment})
-	}
-	return resp
+	writeSummary(w, sum, sinceMS(start), false, false)
 }
 
 // requireStore answers 503 while boot recovery runs and 404 when the
@@ -472,18 +450,18 @@ func (s *Server) handleItemSummary(w http.ResponseWriter, r *http.Request) {
 	if !s.requireStore(w) {
 		return
 	}
-	q := r.URL.Query()
-	k, err := strconv.Atoi(q.Get("k"))
+	q := r.URL.RawQuery
+	k, err := strconv.Atoi(queryGet(q, "k"))
 	if err != nil || k < 1 {
 		writeError(w, http.StatusBadRequest, "query parameter k must be an integer ≥ 1")
 		return
 	}
-	gran, err := osars.ParseGranularity(q.Get("granularity"))
+	gran, err := osars.ParseGranularity(queryGet(q, "granularity"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	method, err := osars.ParseMethod(q.Get("method"))
+	method, err := osars.ParseMethod(queryGet(q, "method"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -499,11 +477,7 @@ func (s *Server) handleItemSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, ItemSummaryResponse{
-		SummarizeResponse: summaryResponse(sum, start),
-		Generation:        sum.Generation,
-		Cached:            cached,
-	})
+	writeSummary(w, sum, sinceMS(start), true, cached)
 }
 
 func (s *Server) handleItemStats(w http.ResponseWriter, r *http.Request) {

@@ -164,11 +164,19 @@ func (c *lruCache) Evictions() uint64 {
 
 // summarySize approximates the resident size of one cache entry:
 // struct headers plus the backing arrays of the selection slices and
-// the bytes of every retained string.
+// the bytes of every retained string, and the response body a server
+// keeps with the summary (Summary.KeepBody), which repeats every string
+// between keys, quotes and numbers.
 func summarySize(key cacheKey, sum *Summary) int64 {
-	const structOverhead = 192 // Summary + lruEntry + list.Element + map slot
+	const (
+		structOverhead = 192 // Summary + lruEntry + list.Element + map slot
+		// The kept body's bytes besides its strings: about bodyOverhead
+		// per body (its slice, keys and numbers), bodyPair per pair and
+		// bodyString per sentence or review ID.
+		bodyOverhead, bodyPair, bodyString = 160, 48, 4
+	)
 	n := int64(structOverhead)
-	n += int64(len(key.id)) + int64(len(key.ver)) + int64(len(sum.ItemID))
+	n += int64(len(key.id)) + int64(len(key.ver))
 	n += int64(8 * len(sum.Indices))
 	if sum.Method == MethodGreedy {
 		// A greedy selection's array also holds its k+1 prefix costs
@@ -177,15 +185,17 @@ func summarySize(key cacheKey, sum *Summary) int64 {
 	}
 	n += int64(16 * len(sum.Pairs))
 	n += int64(16 * (len(sum.Sentences) + len(sum.ReviewIDs) + len(sum.Concepts))) // string headers
+	strs := int64(len(sum.ItemID)) + int64(len(sum.Ontology)) + int64(len(sum.OntologyVersion))
 	for _, s := range sum.Sentences {
-		n += int64(len(s))
+		strs += int64(len(s))
 	}
 	for _, id := range sum.ReviewIDs {
-		n += int64(len(id))
+		strs += int64(len(id))
 	}
 	for _, c := range sum.Concepts {
-		n += int64(len(c))
+		strs += int64(len(c))
 	}
-	n += int64(len(sum.Ontology)) + int64(len(sum.OntologyVersion))
+	n += 2 * strs // once in the fields, once in the body
+	n += bodyOverhead + int64(bodyPair*len(sum.Pairs)) + int64(bodyString*(len(sum.Sentences)+len(sum.ReviewIDs)))
 	return n
 }

@@ -11,7 +11,9 @@ import (
 // the fields a Summary actually retains: the ontology provenance
 // (Ontology, OntologyVersion, Concepts) and the version component of
 // the cache key must all move the reported size, byte for byte, so the
-// byte budget can't be silently blown by unaccounted strings.
+// byte budget can't be silently blown by unaccounted strings. A
+// summary's strings count twice: once in its fields and once in the
+// response body kept with it.
 func TestSummarySizeCountsAllRetainedBytes(t *testing.T) {
 	key := cacheKey{id: "item", gen: 1, k: 2, g: model.GranularityPairs, m: MethodGreedy}
 	base := &Summary{ItemID: "item", Indices: []int{0, 1}}
@@ -34,14 +36,14 @@ func TestSummarySizeCountsAllRetainedBytes(t *testing.T) {
 			name:  "ontology name and version",
 			key:   key,
 			sum:   &Summary{ItemID: "item", Indices: []int{0, 1}, Ontology: "phones", OntologyVersion: "v123"},
-			delta: int64(len("phones") + len("v123")),
+			delta: int64(2 * (len("phones") + len("v123"))),
 		},
 		{
 			name: "concept names",
 			key:  key,
 			sum: &Summary{ItemID: "item", Indices: []int{0, 1},
 				Concepts: []string{concept, concept}},
-			delta: int64(2*16 + 2*len(concept)), // headers + bytes
+			delta: int64(2*16 + 2*2*len(concept)), // headers + bytes in fields and body
 		},
 	}
 	for _, tc := range cases {

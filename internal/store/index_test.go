@@ -54,6 +54,20 @@ func coldSummary(rt *ontoreg.Runtime, item *model.Item, k int, g model.Granulari
 	return newSummary(rt, item, 0, k, g, MethodGreedy, len(item.Pairs()), summarize.GreedyRebuild(graph, k))
 }
 
+// requireRuntimesDiffer checks that raws summarize to different
+// selections under v1 and v2, so that a post-swap summary check can
+// see an index or a stored selection kept from v1.
+func requireRuntimesDiffer(t *testing.T, v1, v2 *ontoreg.Runtime, raws []extract.RawReview, k int, g model.Granularity) {
+	t.Helper()
+	item := func(rt *ontoreg.Runtime) *model.Item {
+		return &model.Item{ID: "p1", Name: "Acme", Reviews: rt.Pipeline.AnnotateReviews(raws, 0)}
+	}
+	a, b := coldSummary(v1, item(v1), k, g), coldSummary(v2, item(v2), k, g)
+	if reflect.DeepEqual(a.Indices, b.Indices) && a.Cost == b.Cost {
+		t.Fatalf("the corpus summarizes alike under both runtimes (Indices %v, cost %v): a kept v1 summary would not show", a.Indices, a.Cost)
+	}
+}
+
 // TestIndexedSummariesMatchCold is the store-level equivalence check:
 // with appends interleaved between solves, an indexed store must
 // return byte-identical greedy summaries to the cold oracle over the
@@ -176,7 +190,8 @@ func TestIndexInvalidatedOnOntologySwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws := manyPhoneReviews(8)
+	raws := gradedPhoneReviews(8)
+	requireRuntimesDiffer(t, v1, v2, raws, 3, model.GranularitySentences)
 	if _, err := s.AppendReviews("p1", "Acme", raws); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +270,8 @@ func TestReannotationRaceInvalidatesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws := manyPhoneReviews(6)
+	raws := gradedPhoneReviews(6)
+	requireRuntimesDiffer(t, v1, v2, raws, 2, model.GranularitySentences)
 	if _, err := s.AppendReviews("p1", "Acme", raws[:4]); err != nil {
 		t.Fatal(err)
 	}

@@ -641,6 +641,29 @@ type Summary struct {
 	// summary was solved under ("config" for unversioned runtimes).
 	Ontology        string `json:"ontology,omitempty"`
 	OntologyVersion string `json:"ontology_version,omitempty"`
+
+	// body is a response body rendered from the fields above, kept by
+	// KeepBody so that later responses copy it.
+	body atomic.Pointer[[]byte]
+}
+
+// Body returns the body kept by KeepBody, or nil before one is kept.
+func (s *Summary) Body() []byte {
+	if b := s.body.Load(); b != nil {
+		return *b
+	}
+	return nil
+}
+
+// KeepBody keeps b, a rendering of the summary's fields, unless a body
+// is kept already, and returns the kept body. Renderings of one Summary
+// are equal, so the first to be kept wins. b must not be modified once
+// kept; the cache counts a kept body in the summary's size.
+func (s *Summary) KeepBody(b []byte) []byte {
+	if s.body.CompareAndSwap(nil, &b) {
+		return b
+	}
+	return *s.body.Load()
 }
 
 // Summary returns the k-unit summary of the item's current corpus.

@@ -469,11 +469,10 @@ func replTailBench() func(b *testing.B) {
 // (page-cache durability) and WAL-on with fsync-per-ack (the full
 // durability tax). Appends cycle over a fixed pool of item ids and
 // each item is recycled (deleted and restarted) after perItem appends,
-// so both the live heap and the copy-on-write merge stay bounded: a
-// fresh id per iteration makes per-op cost climb with b.N as the GC
-// scans an ever-growing corpus, and unbounded appends to pooled items
-// grow the merge copy with b.N — either would swamp the logging cost
-// being measured. The amortized Delete (1/perItem of ops, itself one
+// so the live heap stays bounded: a fresh id per iteration makes
+// per-op cost climb with b.N as the GC scans an ever-growing corpus,
+// and so would unbounded appends to pooled items — either would swamp
+// the logging cost being measured. The amortized Delete (1/perItem of ops, itself one
 // WAL record in durable mode) is part of the measured steady state.
 // Automatic snapshots are disabled so the run isolates the WAL append
 // itself.
@@ -627,10 +626,10 @@ func groupCommitBench(f *fixture, writers int, instrumented bool) func(b *testin
 // (the append advanced the item's generation, so the cached entry is
 // stale by construction — a read-your-writes dashboard pattern), and
 // on every 16th full pass over its pool the worker recycles each item
-// with a summary followed by a delete, bounding the live corpus and
-// the copy-on-write merge. The store runs fsync-per-ack: in the
-// 1-shard configuration every acknowledged write serializes behind
-// one mutex and one WAL file, so throughput is capped by the serial
+// with a summary followed by a delete, bounding the live corpus. The
+// store runs fsync-per-ack: in the 1-shard configuration every
+// acknowledged write serializes behind one mutex and one WAL file, so
+// throughput is capped by the serial
 // fsync chain with the solve CPU added on top; with N shards the same
 // 16 writers hold N independent locks and overlap their fsyncs in the
 // kernel (blocking syscalls overlap regardless of core count) while

@@ -178,8 +178,9 @@ func (x *Index) NumReviews() int {
 
 // Merge appends new reviews to the index in O(delta +
 // affected-old-targets) time. Reviews must be the continuation of the
-// sequence merged so far (the store's copy-on-write items guarantee
-// appends preserve the prefix).
+// sequence merged so far (the store's items guarantee it: an append
+// writes only after every published length, so the prefix an index
+// merged never changes).
 func (x *Index) Merge(reviews []model.Review) {
 	if len(reviews) == 0 {
 		return

@@ -14,6 +14,7 @@ import (
 
 	"osars"
 	"osars/internal/dataset"
+	"osars/internal/obs"
 )
 
 // gradedReviews fabricates n phone reviews of two sentences that rate
@@ -297,19 +298,27 @@ func hitServer(tb testing.TB, k int, g osars.Granularity) (*Server, *http.Reques
 
 // TestSummaryHitAllocs gates the allocations of a cache-hit summary
 // read through ServeHTTP: net/http's Content-Type header value and the
-// mux's path match, nothing in the handler.
+// mux's path match, nothing in the handler, and nothing in the metrics
+// wrapper once metrics are armed.
 func TestSummaryHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool Puts")
 	}
-	srv, req := hitServer(t, 5, osars.Sentences)
-	w := &discardWriter{h: make(http.Header)}
-	allocs := testing.AllocsPerRun(200, func() {
-		clear(w.h)
-		srv.ServeHTTP(w, req)
-	})
-	if w.status != http.StatusOK || allocs > 2 {
-		t.Fatalf("cache-hit summary read: status %d, %.1f allocs, want at most 2", w.status, allocs)
+	for _, armed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("metrics=%v", armed), func(t *testing.T) {
+			srv, req := hitServer(t, 5, osars.Sentences)
+			if armed {
+				srv.ConfigureObservability(ObservabilityConfig{Metrics: obs.NewRegistry()})
+			}
+			w := &discardWriter{h: make(http.Header)}
+			allocs := testing.AllocsPerRun(200, func() {
+				clear(w.h)
+				srv.ServeHTTP(w, req)
+			})
+			if w.status != http.StatusOK || allocs > 2 {
+				t.Fatalf("cache-hit summary read: status %d, %.1f allocs, want at most 2", w.status, allocs)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,7 @@ package server
 import (
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"osars/internal/obs"
@@ -132,21 +133,29 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		start := time.Now()
 		m.inflight.Add(1)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		sw.ResponseWriter = w
 		h(sw, r)
 		m.inflight.Add(-1)
 		dur := time.Since(start)
+		status, queueWait := sw.Status(), sw.queueWait
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
 		rm.requests.Inc()
-		status := sw.Status()
 		if c := status/100 - 1; c >= 0 && c < len(rm.classes) {
 			rm.classes[c].Inc()
 		}
 		rm.seconds.Observe(dur.Seconds())
 		if slow := m.slow; slow != nil && dur >= slow.Threshold {
-			slow.Record(r.Method, route, status, dur, sw.queueWait, s.shardOf(r))
+			slow.Record(r.Method, route, status, dur, queueWait, s.shardOf(r))
 		}
 	}
 }
+
+// statusWriters pools the instrumentation's writers, so an armed
+// server does not allocate one per request. A writer goes back empty,
+// holding no ResponseWriter, once its handler has returned.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 // statusWriter captures the response status for the route counters and
 // carries the admission queue wait from the admit wrapper out to the

@@ -18,7 +18,7 @@ import (
 
 // copyDir copies every regular file of src into dst — the "crash
 // image" a kill point leaves behind.
-func copyDir(t *testing.T, src, dst string) {
+func copyDir(t testing.TB, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {

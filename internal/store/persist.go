@@ -1,13 +1,14 @@
 // Durability subsystem of the store: every state-changing operation
 // (append, delete) is serialized to a segmented CRC32C write-ahead log
 // before it is acknowledged, periodic snapshots serialize a consistent
-// copy-on-write view of the corpus, and a compaction step retires WAL
-// segments fully covered by the latest snapshot. Recovery is
-// latest-snapshot-then-replay: New loads the newest readable snapshot
-// and replays the WAL suffix through the exact same code path live
-// ingestion uses, so a recovered store is byte-identical to the
-// pre-crash store for every acknowledged write (including item
-// generations and timestamps, which are logged, not re-minted).
+// view of the corpus, and a compaction step retires WAL segments fully
+// covered by the latest snapshot. Recovery is
+// latest-snapshot-then-replay: New loads the newest readable snapshot,
+// refuses a log that does not continue it, and replays the WAL suffix
+// through the exact same code path live ingestion uses, so a recovered
+// store is byte-identical to the pre-crash store for every
+// acknowledged write (including item generations and timestamps, which
+// are logged, not re-minted).
 
 package store
 
@@ -15,11 +16,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"osars/internal/extract"
+	"osars/internal/jsonscan"
 	"osars/internal/model"
 	"osars/internal/ontoreg"
 	"osars/internal/wal"
@@ -75,7 +78,7 @@ const DefaultSnapshotEvery = 4096
 // Defaults for the durability knobs.
 const (
 	DefaultFsyncInterval = 100 * time.Millisecond
-	snapshotsToKeep      = 2 // newest + one fallback generation
+	snapshotsToKeep      = 2 // newest + one older generation
 )
 
 // WAL record operations.
@@ -143,6 +146,157 @@ type snapFile struct {
 }
 
 const snapSchema = "osars-store-snapshot/v1"
+
+// decodeSnapshot decodes a snapshot payload into *snap without
+// reflection, as json.Unmarshal(payload, snap) decodes it:
+// FuzzDecodeSnapshot holds it to the same values, or an error wherever
+// Unmarshal errors. On top of the scanner's rules (package jsonscan),
+// integers must fit their field's type, created_at and updated_at are
+// decoded by time.Time's UnmarshalJSON from the value's bytes,
+// active_entry keeps its value's bytes (null included) as
+// json.RawMessage does, and only whitespace may follow the snapshot.
+func decodeSnapshot(payload []byte, snap *snapFile) error {
+	d := jsonscan.NewDecoder(payload)
+	d.Space()
+	err := d.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Fold(key, "schema"):
+			return d.Str(&snap.Schema)
+		case jsonscan.Fold(key, "last_seq"):
+			return jsonscan.Uint(d, &snap.LastSeq)
+		case jsonscan.Fold(key, "next_gen"):
+			return jsonscan.Uint(d, &snap.NextGen)
+		case jsonscan.Fold(key, "appends"):
+			return jsonscan.Uint(d, &snap.Appends)
+		case jsonscan.Fold(key, "active_entry"):
+			v, err := d.Value()
+			if err == nil {
+				snap.ActiveEntry = append(snap.ActiveEntry[:0], v...)
+			}
+			return err
+		case jsonscan.Fold(key, "activations"):
+			return jsonscan.Uint(d, &snap.Activations)
+		case jsonscan.Fold(key, "items"):
+			return jsonscan.Slice(d, &snap.Items, func(it *snapItem) error { return decodeSnapItem(d, it) })
+		}
+		return d.Skip()
+	})
+	if err != nil {
+		return err
+	}
+	return d.End()
+}
+
+// decodeSnapItem and the functions after it are decodeSnapshot's field
+// switches, one per type.
+func decodeSnapItem(d *jsonscan.Decoder, it *snapItem) error {
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Fold(key, "id"):
+			return d.Str(&it.ID)
+		case jsonscan.Fold(key, "gen"):
+			return jsonscan.Uint(d, &it.Gen)
+		case jsonscan.Fold(key, "num_sentences"):
+			return jsonscan.Int(d, &it.NumSentences)
+		case jsonscan.Fold(key, "num_pairs"):
+			return jsonscan.Int(d, &it.NumPairs)
+		case jsonscan.Fold(key, "created_at"):
+			return decodeTime(d, &it.CreatedAt)
+		case jsonscan.Fold(key, "updated_at"):
+			return decodeTime(d, &it.UpdatedAt)
+		case jsonscan.Fold(key, "item"):
+			if d.Literal("null") {
+				it.Item = nil
+				return nil
+			}
+			if it.Item == nil {
+				it.Item = new(model.Item)
+			}
+			return decodeItem(d, it.Item)
+		case jsonscan.Fold(key, "ann_ver"):
+			return d.Str(&it.AnnVer)
+		case jsonscan.Fold(key, "raws"):
+			return jsonscan.Slice(d, &it.Raws, func(r *walReview) error { return decodeWalReview(d, r) })
+		}
+		return d.Skip()
+	})
+}
+
+// decodeTime hands a value's bytes to time.Time's UnmarshalJSON, as
+// encoding/json does.
+func decodeTime(d *jsonscan.Decoder, t *time.Time) error {
+	v, err := d.Value()
+	if err != nil {
+		return err
+	}
+	return t.UnmarshalJSON(v)
+}
+
+func decodeItem(d *jsonscan.Decoder, it *model.Item) error {
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Fold(key, "id"):
+			return d.Str(&it.ID)
+		case jsonscan.Fold(key, "name"):
+			return d.Str(&it.Name)
+		case jsonscan.Fold(key, "reviews"):
+			return jsonscan.Slice(d, &it.Reviews, func(r *model.Review) error { return decodeReview(d, r) })
+		}
+		return d.Skip()
+	})
+}
+
+func decodeReview(d *jsonscan.Decoder, r *model.Review) error {
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Fold(key, "id"):
+			return d.Str(&r.ID)
+		case jsonscan.Fold(key, "rating"):
+			return d.Float(&r.Rating)
+		case jsonscan.Fold(key, "sentences"):
+			return jsonscan.Slice(d, &r.Sentences, func(s *model.Sentence) error { return decodeSentence(d, s) })
+		}
+		return d.Skip()
+	})
+}
+
+func decodeSentence(d *jsonscan.Decoder, s *model.Sentence) error {
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Fold(key, "text"):
+			return d.Str(&s.Text)
+		case jsonscan.Fold(key, "pairs"):
+			return jsonscan.Slice(d, &s.Pairs, func(p *model.Pair) error { return decodePair(d, p) })
+		}
+		return d.Skip()
+	})
+}
+
+func decodePair(d *jsonscan.Decoder, p *model.Pair) error {
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Fold(key, "concept"):
+			return jsonscan.Int(d, &p.Concept)
+		case jsonscan.Fold(key, "sentiment"):
+			return d.Float(&p.Sentiment)
+		}
+		return d.Skip()
+	})
+}
+
+func decodeWalReview(d *jsonscan.Decoder, r *walReview) error {
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Fold(key, "id"):
+			return d.Str(&r.ID)
+		case jsonscan.Fold(key, "text"):
+			return d.Str(&r.Text)
+		case jsonscan.Fold(key, "rating"):
+			return d.Float(&r.Rating)
+		}
+		return d.Skip()
+	})
+}
 
 // RecoveryStats reports what New had to do to restore a durable store.
 type RecoveryStats struct {
@@ -244,7 +398,7 @@ func openPersistence(s *Store, cfg Config) error {
 	}
 	if ok {
 		var snap snapFile
-		if err := json.Unmarshal(payload, &snap); err != nil {
+		if err := decodeSnapshot(payload, &snap); err != nil {
 			return fmt.Errorf("store: decode snapshot: %w", err)
 		}
 		if snap.Schema != snapSchema {
@@ -280,6 +434,16 @@ func openPersistence(s *Store, cfg Config) error {
 	})
 	if err != nil {
 		return fmt.Errorf("store: open wal: %w", err)
+	}
+	// The log must continue the snapshot. One that starts past it has
+	// lost acknowledged records: every snapshot compacts the log up to
+	// itself, so an older snapshot loaded in place of an unreadable
+	// newer one no longer has its continuation. Replaying what is left
+	// would silently drop the records in between.
+	if info.Records > 0 && info.FirstSeq > snapSeq+1 {
+		log.Close()
+		return fmt.Errorf("store: wal starts at seq %d but the loaded snapshot covers seqs up to %d: records %d–%d are missing",
+			info.FirstSeq, snapSeq, snapSeq+1, info.FirstSeq-1)
 	}
 	p.log = log
 	p.recovery.TruncatedBytes = info.TruncatedBytes
@@ -392,7 +556,36 @@ func entryFromSnap(it *snapItem, ver string) *entry {
 	if len(it.Raws) > 0 {
 		e.raws = rawReviews(it.Raws)
 	}
+	if it.Item != nil {
+		shareSentenceTexts(it.Item.Reviews, e.raws)
+		e.publish(it.Item.ID, it.Item.Name, it.Item.Reviews)
+	}
 	return e
+}
+
+// shareSentenceTexts points each sentence's text into its review's raw
+// text, where live annotation sliced it from: a snapshot holds the two
+// apart, and decoding them separately would keep every sentence's text
+// twice. The sentences of a review whose raw has another ID, and a
+// sentence not found in the raw text after the previous one, keep
+// their own copies.
+func shareSentenceTexts(reviews []model.Review, raws []extract.RawReview) {
+	for i := range reviews {
+		if i >= len(raws) || raws[i].ID != reviews[i].ID {
+			continue
+		}
+		raw, at := raws[i].Text, 0
+		for si := range reviews[i].Sentences {
+			s := &reviews[i].Sentences[si]
+			off := strings.Index(raw[at:], s.Text)
+			if off < 0 {
+				continue
+			}
+			at += off
+			s.Text = raw[at : at+len(s.Text)]
+			at += len(s.Text)
+		}
+	}
 }
 
 // walReviews converts raw reviews to their logged form.
@@ -445,11 +638,12 @@ func (p *persister) run() {
 	}
 }
 
-// snapshot serializes a consistent copy-on-write view of the store,
-// writes it atomically, and compacts the WAL past it. Item values are
-// immutable (AppendReviews publishes fresh *model.Item values), so the
-// lock is held only long enough to copy pointers and counters — the
-// expensive JSON encode runs concurrently with live traffic.
+// snapshot serializes a consistent view of the store, writes it
+// atomically, and compacts the WAL past it. Item values are immutable
+// (AppendReviews publishes fresh *model.Item values over slots no
+// later append writes), so the lock is held only long enough to copy
+// pointers and counters — the expensive JSON encode runs concurrently
+// with live traffic.
 func (p *persister) snapshot() error {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()

@@ -164,7 +164,7 @@ func (s *Store) InstallSnapshot(seq uint64, payload []byte) error {
 		return errors.New("store: InstallSnapshot on a non-replica store")
 	}
 	var snap snapFile
-	if err := json.Unmarshal(payload, &snap); err != nil {
+	if err := decodeSnapshot(payload, &snap); err != nil {
 		return fmt.Errorf("store: decode shipped snapshot: %w", err)
 	}
 	if snap.Schema != snapSchema {

@@ -8,9 +8,9 @@
 // answer many summary reads per write. The store serves that workload:
 //
 //   - AppendReviews runs the extraction pipeline over ONLY the new
-//     reviews and merges them into the cached annotated item
-//     (copy-on-write, so concurrent readers keep a consistent
-//     snapshot), bumping the item's generation counter.
+//     reviews and appends them to the cached annotated item in place,
+//     after every length a reader holds (so concurrent readers keep a
+//     consistent snapshot), bumping the item's generation counter.
 //   - Summary answers from an LRU cache keyed by (item, generation,
 //     k, granularity, method); a warm read skips both annotation and
 //     the coverage solve. Generations are minted from a store-global
@@ -191,10 +191,17 @@ type Store struct {
 }
 
 // entry is one item's state. The *model.Item is treated as immutable:
-// AppendReviews publishes a fresh Item value (copy-on-write), so a
-// summary solve working off an old snapshot never races an append.
+// AppendReviews publishes a fresh Item value, so a summary solve
+// working off an old snapshot never races an append.
 type entry struct {
-	item         *model.Item
+	item *model.Item
+	// reviews is the array item.Reviews lives in, at its full capacity.
+	// An append writes the new reviews after item.Reviews's length,
+	// growing the array as append does when it is full, and publishes a
+	// fresh Item over a length-capped view of it (publish): no slot a
+	// reader can see is ever written, and a caller appending to a
+	// returned Item.Reviews gets a new array.
+	reviews      []model.Review
 	gen          uint64
 	numSentences int
 	numPairs     int
@@ -202,9 +209,9 @@ type entry struct {
 	updatedAt    time.Time
 
 	// raws retains the item's raw reviews so an ontology swap can
-	// re-annotate the corpus lazily. Appends publish a full-capacity
-	// copy (copy-on-write like item), so a reader's slice header stays
-	// valid across concurrent appends.
+	// re-annotate the corpus lazily. Appends grow it in place like
+	// reviews: a reader copies the slice header under s.mu and reads
+	// only up to its own length, which no later append writes.
 	raws []extract.RawReview
 	// annVer is the runtime version item's annotations were produced
 	// under; when it differs from the active runtime's version the item
@@ -243,6 +250,13 @@ type greedySelection struct {
 // capacity-capped so that no caller can append into the shared array.
 func (sel greedySelection) prefix(k int) *summarize.Result {
 	return &summarize.Result{Selected: sel.res.Selected[:k:k], Cost: float64(sel.res.PrefixCost[k])}
+}
+
+// publish makes reviews, an array the entry owns, the corpus of a fresh
+// Item with the given ID and name. Caller holds s.mu.
+func (e *entry) publish(id, name string, reviews []model.Review) {
+	e.reviews = reviews
+	e.item = &model.Item{ID: id, Name: name, Reviews: reviews[:len(reviews):len(reviews)]}
 }
 
 // invalidateIndexes drops the entry's incremental indexes and greedy
@@ -457,18 +471,20 @@ func (s *Store) applyAppendLocked(id, name string, raws []extract.RawReview, ann
 		return e.stats()
 	}
 	if existed || len(annotated) > 0 {
-		old := e.item
-		ni := &model.Item{ID: id, Name: old.Name}
-		if renamed {
-			ni.Name = name
+		if !renamed {
+			name = e.item.Name
 		}
-		ni.Reviews = make([]model.Review, 0, len(old.Reviews)+len(annotated))
-		ni.Reviews = append(append(ni.Reviews, old.Reviews...), annotated...)
+		if e.reviews == nil {
+			// A corpus that went through here is never nil, so a
+			// snapshot writes it as [] rather than null.
+			e.reviews = make([]model.Review, 0, len(annotated))
+		}
+		// O(new reviews): the old ones stay where they are.
+		e.publish(id, name, append(e.reviews, annotated...))
 		if existed {
 			s.nextGen++
 			e.gen = s.nextGen
 		}
-		e.item = ni
 		e.numSentences += newSentences
 		e.numPairs += newPairs
 		e.updatedAt = now
@@ -480,9 +496,7 @@ func (s *Store) applyAppendLocked(id, name string, raws []extract.RawReview, ann
 			// reviews so the retained raws cover the whole corpus.
 			e.raws = reconstructRaws(e.item.Reviews[:len(e.item.Reviews)-len(annotated)])
 		}
-		// Full-capacity copy-on-write: a reader holding the old slice
-		// header can never observe this append.
-		e.raws = append(e.raws[:len(e.raws):len(e.raws)], raws...)
+		e.raws = append(e.raws, raws...)
 	}
 	if existed && e.annVer != annVer {
 		// The corpus now mixes annotations from two pipeline versions;
@@ -780,8 +794,8 @@ func (s *Store) itemAt(rt *ontoreg.Runtime, id string) (*model.Item, uint64, boo
 			s.mu.Unlock()
 			return item, gen, true, nil
 		}
-		ni := &model.Item{ID: snap.ID, Name: snap.Name, Reviews: annotated}
-		e2.item = ni
+		e2.publish(snap.ID, snap.Name, annotated)
+		ni := e2.item
 		e2.annVer = rt.Version
 		// The old indexes cover annotations from the previous pipeline
 		// version; drop them so the next solve rebuilds over ni.

@@ -116,8 +116,9 @@ func SnapshotPath(dir string, seq uint64) string {
 
 // LoadLatestSnapshot returns the newest snapshot that reads back
 // cleanly, its sequence number, and whether one was found. Corrupt
-// snapshots are skipped (newest-first), so a bad write can only cost
-// replay time, never data.
+// snapshots are skipped (newest-first). An older snapshot is only a
+// complete recovery point while the log still holds every record after
+// it; the store refuses to open when the log starts past it.
 func LoadLatestSnapshot(dir string) (payload []byte, seq uint64, ok bool, err error) {
 	seqs, err := ListSnapshots(dir)
 	if err != nil {
@@ -133,9 +134,11 @@ func LoadLatestSnapshot(dir string) (payload []byte, seq uint64, ok bool, err er
 }
 
 // PruneSnapshots removes all but the newest keep snapshot files (and
-// any stale temp files from interrupted writes). Keeping one extra
-// generation means a corrupt newest snapshot still recovers from the
-// previous one plus the (not yet compacted past it) WAL.
+// any stale temp files from interrupted writes). The store compacts the
+// log up to each snapshot it writes, so the extra generations it keeps
+// can stand in for a corrupt newest one only while the log still
+// reaches back to them: a log that starts past the loaded snapshot
+// makes recovery fail rather than drop the records in between.
 func PruneSnapshots(dir string, keep int) (removed int, err error) {
 	if keep < 1 {
 		keep = 1

@@ -4,7 +4,9 @@
 // from cmd/osars-experiments; these benches regenerate the underlying
 // measurements (selection time per item for Fig 4, with the achieved
 // coverage cost attached as a custom metric for Fig 5, sent-err for
-// Fig 6, corpus generation for Table 1).
+// Fig 6, corpus generation for Table 1). The cold-path layer benches
+// behind BENCH_coldpath.json live once, in cmd/osars-bench
+// (BenchmarkCold).
 //
 // Run with: go test -bench=. -benchmem
 package osars
@@ -21,7 +23,6 @@ import (
 	"osars/internal/extract"
 	"osars/internal/lp"
 	"osars/internal/model"
-	"osars/internal/ontology"
 	"osars/internal/sentiment"
 	"osars/internal/summarize"
 	"osars/internal/text"
@@ -421,178 +422,3 @@ func BenchmarkScalingPairs250(b *testing.B)  { benchScaling(b, 250) }
 func BenchmarkScalingPairs500(b *testing.B)  { benchScaling(b, 500) }
 func BenchmarkScalingPairs1000(b *testing.B) { benchScaling(b, 1000) }
 func BenchmarkScalingPairs2000(b *testing.B) { benchScaling(b, 2000) }
-
-// --- Cold path (PR 2): per-layer microbenches -----------------------
-//
-// These isolate each layer of the cold path (the work a cache miss or
-// an AppendReviews pays): annotation, coverage-graph construction, and
-// greedy selection, plus the end-to-end cold Summarize. cmd/osars-bench
-// runs the same measurements standalone and records them in
-// BENCH_coldpath.json.
-
-type coldFixtures struct {
-	ont   *ontology.Ontology
-	sum   *Summarizer
-	pipe  *extract.Pipeline
-	raws  [][]extract.RawReview
-	items []*model.Item
-	toks  [][]string // tokenized sentences of item 0
-}
-
-var (
-	coldOnce sync.Once
-	cold     *coldFixtures
-)
-
-func coldFix() *coldFixtures {
-	coldOnce.Do(func() {
-		cfg := dataset.DoctorConfig(1)
-		cfg.NumItems = 3
-		cfg.TotalReviews = 210
-		cfg.MinReviews = 60
-		cfg.MaxReviews = 80
-		c := dataset.Generate(cfg)
-		cold = &coldFixtures{ont: c.Ont}
-		s, err := New(Config{Ontology: c.Ont})
-		if err != nil {
-			panic(err)
-		}
-		cold.sum = s
-		cold.pipe = extract.NewPipeline(extract.NewMatcher(c.Ont), sentiment.Lexicon{})
-		for _, it := range c.Items {
-			var raws []extract.RawReview
-			for _, r := range it.Reviews {
-				raws = append(raws, extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating})
-			}
-			cold.raws = append(cold.raws, raws)
-			cold.items = append(cold.items, cold.pipe.AnnotateItem(it.ID, it.Name, raws))
-		}
-		for _, r := range c.Items[0].Reviews {
-			for _, sent := range text.SplitSentences(r.Text) {
-				cold.toks = append(cold.toks, text.Tokenize(sent))
-			}
-		}
-	})
-	return cold
-}
-
-// BenchmarkColdAnnotateItem is the sequential annotation layer: one
-// whole doctor item through tokenize + match + sentiment.
-func BenchmarkColdAnnotateItem(b *testing.B) {
-	f := coldFix()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.pipe.AnnotateItem("d", "Doc", f.raws[i%len(f.raws)])
-	}
-}
-
-// BenchmarkColdMatcherStemmed isolates Matcher.MatchTokens with
-// Porter-stemmed matching (the MetaMap-equivalent configuration whose
-// per-probe re-stemming this PR removes).
-func BenchmarkColdMatcherStemmed(b *testing.B) {
-	f := coldFix()
-	m := extract.NewMatcherWithOptions(f.ont, extract.MatcherOptions{Stem: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatchTokens(f.toks[i%len(f.toks)])
-	}
-}
-
-// BenchmarkColdBuildSentences is the §4.1 initialization layer at the
-// sentences granularity used by the service default.
-func BenchmarkColdBuildSentences(b *testing.B) {
-	f := coldFix()
-	m := model.Metric{Ont: f.ont, Epsilon: 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coverage.Build(m, f.items[i%len(f.items)], model.GranularitySentences)
-	}
-}
-
-// BenchmarkColdIndexSentences is the same graph built through the
-// incremental index: NewIndex, one Advance over the whole item and
-// Freeze, the lazy rebuild a store pays on an item's first stored
-// summary. Set against BenchmarkColdBuildSentences, it is why Build
-// stays the builder of the stateless path.
-func BenchmarkColdIndexSentences(b *testing.B) {
-	f := coldFix()
-	m := model.Metric{Ont: f.ont, Epsilon: 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := coverage.NewIndex(m, model.GranularitySentences)
-		idx.Advance(f.items[i%len(f.items)])
-		idx.Freeze()
-	}
-}
-
-// BenchmarkColdGreedySentences is the selection layer alone over a
-// prebuilt sentences graph.
-func BenchmarkColdGreedySentences(b *testing.B) {
-	f := coldFix()
-	m := model.Metric{Ont: f.ont, Epsilon: 0.5}
-	g := coverage.Build(m, f.items[0], model.GranularitySentences)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		summarize.Greedy(g, benchK)
-	}
-}
-
-// BenchmarkIndexGreedySentences is the selection layer at the scale
-// of a followed item: GreedyWarm, seeded with its previous selection,
-// on the index-frozen sentences graph of one 1,000-review doctor item
-// (about 5,000 candidates). It must allocate only the Result and its
-// Selected.
-func BenchmarkIndexGreedySentences(b *testing.B) {
-	f := coldFix()
-	cfg := dataset.DoctorConfig(1)
-	cfg.NumItems, cfg.TotalReviews, cfg.MinReviews, cfg.MaxReviews = 1, 1000, 1000, 1000
-	raw := dataset.GenerateWithOntology(cfg, f.ont).Items[0]
-	raws := make([]extract.RawReview, len(raw.Reviews))
-	for i, r := range raw.Reviews {
-		raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
-	}
-	idx := coverage.NewIndex(model.Metric{Ont: f.ont, Epsilon: 0.5}, model.GranularitySentences)
-	idx.Merge(f.pipe.AnnotateItem(raw.ID, raw.Name, raws).Reviews)
-	g := idx.Freeze()
-	prev := summarize.Greedy(g, benchK)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		summarize.GreedyWarm(g, benchK, prev)
-	}
-}
-
-// BenchmarkColdCostOf evaluates a fixed selection against a prebuilt
-// graph — the per-request evaluation path.
-func BenchmarkColdCostOf(b *testing.B) {
-	f := coldFix()
-	m := model.Metric{Ont: f.ont, Epsilon: 0.5}
-	g := coverage.Build(m, f.items[0], model.GranularitySentences)
-	sel := summarize.Greedy(g, benchK).Selected
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.CostOf(sel)
-	}
-}
-
-// BenchmarkColdSummarize is the acceptance bench: the full cold path
-// (annotate + build + greedy, sentences, doctor fixture) exactly as a
-// cache miss pays it.
-func BenchmarkColdSummarize(b *testing.B) {
-	f := coldFix()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(f.raws)
-		item := f.sum.AnnotateItem("d", "Doc", f.raws[j])
-		if _, err := f.sum.Summarize(item, benchK, Sentences, MethodGreedy); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,12 +3,13 @@
 // Run mode (default) measures the cold serving path layer by layer —
 // annotation, stemmed concept matching, coverage-graph build (batch and
 // through the incremental index), greedy selection, cost evaluation,
-// and the full end-to-end Summarize — on
-// the same doctor-review fixture as the BenchmarkCold* benches in
-// bench_test.go, plus the durability tax on ingestion: store appends
+// and the full end-to-end Summarize — on a small doctor-review
+// fixture, plus the durability tax on ingestion: store appends
 // with the WAL off (StoreAppendMem), WAL on without fsync
 // (StoreAppendWALNoSync) and WAL on with fsync-per-ack
-// (StoreAppendWALSync). Results are written as JSON:
+// (StoreAppendWALSync). Every row's body exists once: `go test -bench
+// Cold/<row> ./cmd/osars-bench` runs the same body as a sub-benchmark
+// of BenchmarkCold, for profiling. Results are written as JSON:
 //
 //	osars-bench -o BENCH_coldpath.json        # full run (~1s/bench)
 //	osars-bench -short -o /tmp/smoke.json     # CI smoke (~50ms/bench)
@@ -51,6 +52,7 @@ import (
 	"osars/internal/extract"
 	"osars/internal/model"
 	"osars/internal/obs"
+	"osars/internal/ontoreg"
 	"osars/internal/sentiment"
 	"osars/internal/shard"
 	"osars/internal/store"
@@ -106,8 +108,8 @@ type File struct {
 	PrePRBaseline []Result  `json:"pre_pr_baseline,omitempty"`
 }
 
-// fixture mirrors coldFix() in bench_test.go: a small doctor-review
-// corpus exercising the full extraction + coverage pipeline.
+// fixture is a small doctor-review corpus exercising the full
+// extraction + coverage pipeline.
 type fixture struct {
 	sum   *osars.Summarizer
 	pipe  *extract.Pipeline
@@ -159,9 +161,8 @@ type bench struct {
 	fn      func(b *testing.B)
 }
 
-// benches returns the named benchmark bodies, mirroring the
-// BenchmarkCold* set in bench_test.go so `go test -bench Cold` and
-// this harness measure the same code paths.
+// benches returns the named benchmark bodies: the rows of
+// BENCH_coldpath.json, and the sub-benchmarks of BenchmarkCold.
 func benches(f *fixture) []bench {
 	g := coverage.Build(f.met, f.items[0], model.GranularitySentences)
 	sel := summarize.Greedy(g, benchK).Selected
@@ -228,11 +229,11 @@ func benches(f *fixture) []bench {
 }
 
 // indexGreedyBench measures the selection layer at the scale of a
-// followed item, mirroring BenchmarkIndexGreedySentences: GreedyWarm,
-// seeded with its previous selection, on the index-frozen sentences
-// graph of one 1,000-review doctor item (about 5,000 candidates, of
-// which the lazy greedy refreshes hundreds per solve). The 70-review
-// item of ColdGreedySentences hides how the heap scales.
+// followed item: GreedyWarm, seeded with its previous selection, on
+// the index-frozen sentences graph of one 1,000-review doctor item
+// (about 5,000 candidates, of which the lazy greedy refreshes hundreds
+// per solve). The 70-review item of ColdGreedySentences hides how the
+// heap scales. It must allocate only the Result and its Selected.
 func indexGreedyBench(f *fixture) func(b *testing.B) {
 	cfg := dataset.DoctorConfig(1)
 	cfg.NumItems, cfg.TotalReviews, cfg.MinReviews, cfg.MaxReviews = 1, 1000, 1000, 1000
@@ -288,8 +289,7 @@ func appendThenSummarizeBench(f *fixture, cold bool) func(b *testing.B) {
 	}
 	return func(b *testing.B) {
 		st, err := store.New(store.Config{
-			Metric:          f.met,
-			Pipeline:        f.pipe,
+			Runtime:         ontoreg.ConfigRuntime(f.met, f.pipe),
 			SnapshotEvery:   -1,
 			MaxCacheEntries: -1,
 		})
@@ -369,8 +369,7 @@ func coldStoreSummarizeBench(f *fixture, instrumented bool) func(b *testing.B) {
 	)
 	return func(b *testing.B) {
 		cfg := store.Config{
-			Metric:        f.met,
-			Pipeline:      f.pipe,
+			Runtime:       ontoreg.ConfigRuntime(f.met, f.pipe),
 			SnapshotEvery: -1,
 		}
 		if instrumented {
@@ -483,8 +482,7 @@ func storeAppendBench(f *fixture, durable bool, fsync store.FsyncPolicy) func(b 
 	)
 	return func(b *testing.B) {
 		cfg := store.Config{
-			Metric:        f.met,
-			Pipeline:      f.pipe,
+			Runtime:       ontoreg.ConfigRuntime(f.met, f.pipe),
 			SnapshotEvery: -1,
 		}
 		if durable {
@@ -563,8 +561,7 @@ func groupCommitBench(f *fixture, writers int, instrumented bool) func(b *testin
 		}
 		defer os.RemoveAll(dir)
 		cfg := store.Config{
-			Metric:        f.met,
-			Pipeline:      f.pipe,
+			Runtime:       ontoreg.ConfigRuntime(f.met, f.pipe),
 			SnapshotEvery: -1,
 			DataDir:       dir,
 			Fsync:         store.FsyncAlways,
@@ -664,8 +661,7 @@ func shardMixedBench(f *fixture, shards int) func(b *testing.B) {
 		st, err := shard.New(shard.Config{
 			Shards: shards,
 			Store: store.Config{
-				Metric:        f.met,
-				Pipeline:      f.pipe,
+				Runtime:       ontoreg.ConfigRuntime(f.met, f.pipe),
 				SnapshotEvery: -1,
 				DataDir:       dir,
 				Fsync:         store.FsyncAlways,

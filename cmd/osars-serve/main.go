@@ -25,11 +25,12 @@
 //
 // Sharding: -shards N partitions the corpus across N independent
 // stores (per-shard lock, generation counter, summary-cache slice and
-// WAL stream), routed by a seeded consistent hash of the item ID.
-// A durable sharded store keeps shard i under <data-dir>/shard-NNNN
-// and pins the layout in <data-dir>/shard-layout.json; reopening with
-// a different -shards count is refused (use a fresh -data-dir to
-// change the layout).
+// WAL stream), routed by a consistent hash of the item ID. One shard
+// (the default) keeps its WAL and snapshots directly in <data-dir>,
+// the flat layout. More keep shard i under <data-dir>/shard-NNNN and
+// pin the layout in <data-dir>/shard-layout.json. Reopening a data
+// dir with a different -shards count is refused, in either direction
+// (use a fresh -data-dir to change the layout).
 //
 // Admission control: -max-inflight-solves bounds concurrently running
 // solve-class requests (POST /v1/summarize, GET /v1/items/{id}/summary);
@@ -142,7 +143,7 @@ func main() {
 		segBytes     = flag.Int64("wal-segment-bytes", 8<<20, "WAL segment rotation threshold")
 		shutdownWait = flag.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown deadline for draining in-flight requests")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
-		shards       = flag.Int("shards", 1, "partition the corpus across this many independent stores (per-shard lock + WAL); 1 keeps the single-partition layout")
+		shards       = flag.Int("shards", 1, "partition the corpus across this many independent stores (per-shard lock + WAL); 1 is the flat layout, with the WAL in -data-dir itself; a data dir only reopens with the count it was written with")
 		maxSolves    = flag.Int("max-inflight-solves", 0, "admission control: max concurrently running solve requests (summarize + item summary); 0 disables (unlimited)")
 		maxReads     = flag.Int("max-inflight-reads", 0, "admission control: max concurrently running cheap-read requests (item stats + listings); 0 disables (unlimited)")
 		queueWait    = flag.Duration("queue-wait", server.DefaultQueueWait, "admission control: longest a request may wait for a slot before being shed with 429")

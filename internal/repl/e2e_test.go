@@ -454,3 +454,49 @@ func TestReplicationChaos(t *testing.T) {
 	assertIdentical(t, front.URL, r.hs.URL, items)
 	r.stop()
 }
+
+// TestOneShardPrimaryStatus pins a one-shard primary's
+// GET /v1/repl/status to what an unsharded primary has always sent:
+// shards 1 and no hash_seed key, since nothing is placed.
+func TestOneShardPrimaryStatus(t *testing.T) {
+	p := startPrimary(t, t.TempDir(), osars.StoreOptions{})
+	defer p.st.Close()
+	phs := httptest.NewServer(p.srv)
+	defer phs.Close()
+	var status map[string]json.RawMessage
+	if err := json.Unmarshal(readBody(t, phs.URL, "/v1/repl/status"), &status); err != nil {
+		t.Fatal(err)
+	}
+	if string(status["shards"]) != "1" {
+		t.Fatalf("shards = %s, want 1", status["shards"])
+	}
+	if seed, ok := status["hash_seed"]; ok {
+		t.Fatalf("one-shard status carries hash_seed %s", seed)
+	}
+}
+
+// TestOneShardFollowerHandshakesWithoutHashSeed follows a one-shard
+// primary through a front that answers /v1/repl/status with the body
+// of a primary serving a bare store.Store (shards 1, no hash_seed) and
+// passes the stream endpoints through. The one-shard replica must
+// complete the handshake (stream requests only follow a handshake that
+// passed) and converge.
+func TestOneShardFollowerHandshakesWithoutHashSeed(t *testing.T) {
+	p := startPrimary(t, t.TempDir(), osars.StoreOptions{})
+	defer p.st.Close()
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/repl/status" {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"role":"primary","shards":1,"per_shard":[{"shard":0}]}`+"\n")
+			return
+		}
+		p.srv.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	r := startReplica(t, t.TempDir(), osars.StoreOptions{}, front.URL)
+	defer r.stop()
+	ingest(t, front.URL, 4, 2, 0)
+	waitConverged(t, p.src, r.tgt)
+	assertIdentical(t, front.URL, r.hs.URL, 4)
+}

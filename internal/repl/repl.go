@@ -44,40 +44,34 @@ import (
 
 // Source is the primary side: per-shard access to the WAL streams and
 // snapshots being shipped. Build one with NewSource around the serving
-// store (sharded or not).
+// store.
 type Source struct {
 	shards   []*store.Store
 	hashSeed uint64
 }
 
-// NewSource wraps a durable primary store. Accepts the two concrete
-// store types behind the public osars.Store interface.
+// NewSource wraps a durable primary store: the *shard.ShardedStore
+// behind the public osars.Store interface, at any shard count.
 func NewSource(st any) (*Source, error) {
-	switch v := st.(type) {
-	case *store.Store:
-		if _, err := v.ReplStatus(); err != nil {
-			return nil, fmt.Errorf("repl: primary: %w", err)
-		}
-		return &Source{shards: []*store.Store{v}}, nil
-	case *shard.ShardedStore:
-		src := &Source{hashSeed: v.HashSeed()}
-		for i := 0; i < v.NumShards(); i++ {
-			sh := v.Shard(i)
-			if _, err := sh.ReplStatus(); err != nil {
-				return nil, fmt.Errorf("repl: primary shard %d: %w", i, err)
-			}
-			src.shards = append(src.shards, sh)
-		}
-		return src, nil
-	default:
+	v, ok := st.(*shard.ShardedStore)
+	if !ok {
 		return nil, fmt.Errorf("repl: unsupported store type %T", st)
 	}
+	src := &Source{hashSeed: v.HashSeed()}
+	for i := 0; i < v.NumShards(); i++ {
+		sh := v.Shard(i)
+		if _, err := sh.ReplStatus(); err != nil {
+			return nil, fmt.Errorf("repl: primary shard %d: %w", i, err)
+		}
+		src.shards = append(src.shards, sh)
+	}
+	return src, nil
 }
 
 // NumShards returns the number of independent WAL streams.
 func (s *Source) NumShards() int { return len(s.shards) }
 
-// HashSeed returns the sharded placement seed (0 for unsharded).
+// HashSeed returns the placement seed (0 for a single shard).
 func (s *Source) HashSeed() uint64 { return s.hashSeed }
 
 // Shard returns the store behind stream i.
@@ -93,31 +87,25 @@ type Target struct {
 // NewTarget wraps a replica store (every shard must be in replica
 // mode).
 func NewTarget(st any) (*Target, error) {
-	switch v := st.(type) {
-	case *store.Store:
-		if !v.Replica() {
-			return nil, fmt.Errorf("repl: target store is not in replica mode")
-		}
-		return &Target{shards: []*store.Store{v}}, nil
-	case *shard.ShardedStore:
-		tgt := &Target{hashSeed: v.HashSeed()}
-		for i := 0; i < v.NumShards(); i++ {
-			sh := v.Shard(i)
-			if !sh.Replica() {
-				return nil, fmt.Errorf("repl: target shard %d is not in replica mode", i)
-			}
-			tgt.shards = append(tgt.shards, sh)
-		}
-		return tgt, nil
-	default:
+	v, ok := st.(*shard.ShardedStore)
+	if !ok {
 		return nil, fmt.Errorf("repl: unsupported store type %T", st)
 	}
+	tgt := &Target{hashSeed: v.HashSeed()}
+	for i := 0; i < v.NumShards(); i++ {
+		sh := v.Shard(i)
+		if !sh.Replica() {
+			return nil, fmt.Errorf("repl: target shard %d is not in replica mode", i)
+		}
+		tgt.shards = append(tgt.shards, sh)
+	}
+	return tgt, nil
 }
 
 // NumShards returns the number of shard streams the target consumes.
 func (t *Target) NumShards() int { return len(t.shards) }
 
-// HashSeed returns the sharded placement seed (0 for unsharded).
+// HashSeed returns the placement seed (0 for a single shard).
 func (t *Target) HashSeed() uint64 { return t.hashSeed }
 
 // Shard returns the replica store behind stream i.

@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,8 +231,10 @@ func TestShardedMatchesUnshardedOverHTTP(t *testing.T) {
 }
 
 // TestShardLayoutPinned pins that a durable sharded directory refuses
-// to reopen with a different shard count: silently rerouting items
-// would make parts of the corpus unreachable.
+// to reopen with a different shard count, one shard (and the default,
+// 0) included: silently rerouting items would make parts of the corpus
+// unreachable, and a flat store opened in the root would acknowledge
+// writes that the sharded layout never reads.
 func TestShardLayoutPinned(t *testing.T) {
 	dir := t.TempDir()
 	_, st := durableServer(t, dir, 4)
@@ -241,7 +245,53 @@ func TestShardLayoutPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sum.OpenStore(osars.StoreOptions{DataDir: dir, Shards: 8}); err == nil {
-		t.Fatal("reopening a 4-shard data dir with 8 shards succeeded; want layout error")
+	for _, shards := range []int{8, 1, 0} {
+		if st, err := sum.OpenStore(osars.StoreOptions{DataDir: dir, Shards: shards}); err == nil {
+			st.Close()
+			t.Fatalf("reopening a 4-shard data dir with %d shards succeeded; want layout error", shards)
+		}
 	}
+}
+
+// TestOneShardStatsKeys pins GET /v1/stats of a one-shard server,
+// durable and in memory, to the keys of a server over a bare
+// store.Store, so clients see the same body: one shard reports its
+// store's stats, with no shards/per_shard breakdown.
+func TestOneShardStatsKeys(t *testing.T) {
+	for _, tc := range []struct {
+		dir  string
+		want string
+	}{
+		{t.TempDir(), "active_ontology active_ontology_version appends cache_bytes cache_entries cache_evictions cache_hits cache_misses durable index_rebuilds index_warm_fallbacks items solves wal_last_seq wal_segments"},
+		{"", "active_ontology active_ontology_version appends cache_bytes cache_entries cache_evictions cache_hits cache_misses index_rebuilds index_warm_fallbacks items solves"},
+	} {
+		srv, st := durableServer(t, tc.dir, 1)
+		body := AppendReviewsRequest{Reviews: []RawReview{{ID: "r1", Text: "The screen is excellent. The battery is awful."}}}
+		if w := do(t, srv, http.MethodPut, "/v1/items/p1/reviews", body); w.Code != http.StatusOK {
+			t.Fatalf("append: %d %s", w.Code, w.Body.String())
+		}
+		for i := 0; i < 2; i++ { // a miss, then a hit
+			if w := do(t, srv, http.MethodGet, "/v1/items/p1/summary?k=1", nil); w.Code != http.StatusOK {
+				t.Fatalf("summary: %d %s", w.Code, w.Body.String())
+			}
+		}
+		var resp map[string]map[string]json.RawMessage
+		decode(t, do(t, srv, http.MethodGet, "/v1/stats", nil), &resp)
+		if got := strings.Join(sortedKeys(resp), " "); got != "admission ontology store" {
+			t.Fatalf("dir %q: /v1/stats keys %q", tc.dir, got)
+		}
+		if got := strings.Join(sortedKeys(resp["store"]), " "); got != tc.want {
+			t.Fatalf("dir %q: /v1/stats store keys\n got %s\nwant %s", tc.dir, got, tc.want)
+		}
+		st.Close()
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -32,7 +32,8 @@
 //
 // The store behind the item API may be sharded (osars.StoreOptions
 // .Shards > 1): routing is invisible here — the Store interface hides
-// it — but GET /v1/stats exposes the per-shard breakdown.
+// it — but GET /v1/stats exposes the per-shard breakdown. A one-shard
+// store's stats have no breakdown.
 //
 // Overload behavior: with admission control configured
 // (ConfigureAdmission), solve-class endpoints (POST /v1/summarize,

@@ -1,19 +1,25 @@
 // Package shard partitions the stateful corpus across N independent
 // store.Store shards so the serving path scales with cores and WAL
-// streams instead of contending on one lock.
+// streams instead of contending on one lock. Every osars.Store is a
+// ShardedStore: an unsharded store is the one-shard case.
 //
 // The paper's workload is naturally partitionable: every item's
 // (concept, sentiment) pairs, coverage graph and k-coverage solve are
 // independent of every other item (Definitions 1–2, §4) — only the
 // ontology and sentiment lexicon are shared, and those are read-only
 // after construction. A ShardedStore therefore routes each item ID to
-// one shard by a seeded consistent hash (FNV-1a of the ID folded
-// through Lamping–Veach jump hash) and each shard owns its own mutex,
-// generation counter, LRU summary-cache slice and — in durable mode —
-// its own WAL/snapshot directory (<data-dir>/shard-0000/...). Two
-// appends to different items on different shards never touch the same
-// lock or the same log file, so ingestion throughput and fsync latency
-// scale with the shard count.
+// one shard by a consistent hash (FNV-1a of the ID, seeded with the
+// constant DefaultHashSeed, folded through Lamping–Veach jump hash)
+// and each shard owns its own mutex, generation counter, LRU
+// summary-cache slice and — in durable mode — its own WAL/snapshot
+// directory. Two appends to different items on different shards never
+// touch the same lock or the same log file, so ingestion throughput
+// and fsync latency scale with the shard count.
+//
+// Durable layout: one shard is the flat layout, the files store.New
+// writes, in the data directory itself; more live in shard-NNNN
+// subdirectories under a shard-layout.json manifest. Every durable
+// open checks the directory against the requested count (checkLayout).
 //
 // Durable shards also each own an independent group-commit queue
 // (store/commit.go): writers hitting the same shard batch into one WAL
@@ -52,21 +58,19 @@ import (
 // per shard; more than this is configuration error, not scale).
 const MaxShards = 1024
 
-// DefaultHashSeed seeds the item-ID hash when Config.HashSeed is zero.
-// The seed is persisted in the shard layout manifest of a durable
-// store, so routing is stable across process restarts by construction.
+// DefaultHashSeed seeds the item-ID hash. It is a constant, so routing
+// is stable across process restarts by construction; the layout
+// manifest of a durable sharded store records it, and a manifest
+// naming another seed is refused.
 const DefaultHashSeed uint64 = 0x6f736172732d7368 // "osars-sh"
 
 // Config configures a ShardedStore.
 type Config struct {
 	// Shards is the number of independent store partitions (≥ 1).
 	Shards int
-	// HashSeed seeds the item-ID → shard hash (default
-	// DefaultHashSeed). Durable stores persist it in the layout
-	// manifest and refuse to open with a different seed.
-	HashSeed uint64
 	// Store is the per-shard configuration template. Store.DataDir is
-	// the ROOT data directory: shard i lives in
+	// the ROOT data directory: one shard lives in it directly (the flat
+	// layout); with more, shard i lives in
 	// <DataDir>/shard-<i left-padded to 4 digits>. Empty DataDir means
 	// in-memory shards. Cache budgets are split evenly across shards
 	// (each shard gets MaxCacheEntries/N entries and MaxCacheBytes/N
@@ -79,7 +83,6 @@ type Config struct {
 // shards. It exposes the same method set as store.Store and is safe
 // for concurrent use.
 type ShardedStore struct {
-	seed   uint64
 	shards []*store.Store
 
 	// activeMu serializes ActivateOntology fan-outs so two concurrent
@@ -91,10 +94,10 @@ type ShardedStore struct {
 	recovery  store.RecoveryStats
 }
 
-// layout is the JSON manifest pinned at the root of a durable sharded
-// data directory. Opening the directory with a different shard count
-// or hash seed would silently route items to the wrong shard, so New
-// refuses instead.
+// layout is the JSON manifest pinned at the root of a durable data
+// directory of more than one shard. Opening the directory with a
+// different shard count or hash seed would silently route items to the
+// wrong shard, so New refuses instead.
 type layout struct {
 	Schema   string `json:"schema"`
 	Shards   int    `json:"shards"`
@@ -121,19 +124,13 @@ func New(cfg Config) (*ShardedStore, error) {
 	if cfg.Shards > MaxShards {
 		return nil, fmt.Errorf("shard: Shards must be ≤ %d, got %d", cfg.Shards, MaxShards)
 	}
-	if cfg.HashSeed == 0 {
-		cfg.HashSeed = DefaultHashSeed
-	}
 	if cfg.Store.DataDir != "" {
-		if err := checkLayout(cfg); err != nil {
+		if err := checkLayout(cfg.Store.DataDir, cfg.Shards); err != nil {
 			return nil, err
 		}
 	}
 
-	s := &ShardedStore{
-		seed:   cfg.HashSeed,
-		shards: make([]*store.Store, cfg.Shards),
-	}
+	s := &ShardedStore{shards: make([]*store.Store, cfg.Shards)}
 	start := time.Now()
 	// Boot all shards in parallel: durable recovery is I/O- and
 	// annotation-bound (snapshot decode + WAL replay), so N shards
@@ -189,12 +186,13 @@ func New(cfg Config) (*ShardedStore, error) {
 }
 
 // shardConfig derives shard i's store.Config from the template:
-// its own data subdirectory, an even split of the cache budgets, and
-// its own "shard" metric label (all shards share the template's
-// registry, so per-shard series land in the same families).
+// its own data subdirectory (the root itself for a single shard), an
+// even split of the cache budgets, and its own "shard" metric label
+// (all shards share the template's registry, so per-shard series land
+// in the same families).
 func shardConfig(cfg Config, i int) store.Config {
 	sc := cfg.Store
-	if sc.DataDir != "" {
+	if sc.DataDir != "" && cfg.Shards > 1 {
 		sc.DataDir = ShardDir(sc.DataDir, i)
 	}
 	sc.ObsShard = strconv.Itoa(i)
@@ -221,54 +219,68 @@ func shardConfig(cfg Config, i int) store.Config {
 	return sc
 }
 
-// checkLayout pins the shard layout of a durable data directory: on
-// first use it writes the manifest; afterwards the manifest must match
-// the requested configuration exactly. A directory that already holds
-// a flat (unsharded) WAL is refused for Shards > 1 — migrating an
-// existing corpus requires a fresh directory (re-ingest or
-// snapshot/restore), because records in the flat log are not
-// partitioned.
-func checkLayout(cfg Config) error {
-	root := cfg.Store.DataDir
+// checkLayout pins the layout of a durable data directory before any
+// shard opens it. One shard is the flat layout: no manifest. More
+// shards live under a manifest, written on first use, that must
+// afterwards match the requested count and DefaultHashSeed exactly.
+// Everything else is refused, because opening it would hide
+// acknowledged records: a manifest for another count or seed (items
+// would route to the wrong shard, or the shard directories would be
+// ignored), flat files without a manifest at more than one shard (the
+// flat log is not partitioned; migrating needs a fresh directory), and
+// a manifest beside flat files at any count (one of the two would
+// never be read).
+func checkLayout(root string, shards int) error {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("shard: create data dir: %w", err)
 	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return fmt.Errorf("shard: scan data dir: %w", err)
+	}
+	manifest, flat := false, ""
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case name == layoutFile:
+			manifest = true
+		case flat == "" && (filepath.Ext(name) == ".wal" || filepath.Ext(name) == ".snap"):
+			flat = name
+		}
+	}
 	path := filepath.Join(root, layoutFile)
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		var l layout
-		if err := json.Unmarshal(data, &l); err != nil {
-			return fmt.Errorf("shard: parse %s: %w", path, err)
+	if !manifest {
+		if shards == 1 {
+			return nil
 		}
-		if l.Schema != layoutSchema {
-			return fmt.Errorf("shard: %s: unknown schema %q", path, l.Schema)
-		}
-		if l.Shards != cfg.Shards || l.HashSeed != cfg.HashSeed {
+		if flat != "" {
 			return fmt.Errorf(
-				"shard: %s was created with %d shards (hash seed %#x) but %d shards (hash seed %#x) were requested; "+
-					"changing the shard layout of an existing data dir would misroute items — use a fresh -data-dir",
-				root, l.Shards, l.HashSeed, cfg.Shards, cfg.HashSeed)
+				"shard: %s holds a flat (one-shard) store layout (%s); %d shards need a fresh data dir", root, flat, shards)
 		}
-		return nil
-	case os.IsNotExist(err):
-		// No manifest. Refuse directories that already hold a flat
-		// (unsharded) store's WAL or snapshots.
-		entries, derr := os.ReadDir(root)
-		if derr != nil {
-			return fmt.Errorf("shard: scan data dir: %w", derr)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if filepath.Ext(name) == ".wal" || filepath.Ext(name) == ".snap" {
-				return fmt.Errorf(
-					"shard: %s holds a flat (unsharded) store layout; a sharded store needs a fresh data dir", root)
-			}
-		}
-		return writeLayout(path, layout{Schema: layoutSchema, Shards: cfg.Shards, HashSeed: cfg.HashSeed})
-	default:
+		return writeLayout(path, layout{Schema: layoutSchema, Shards: shards, HashSeed: DefaultHashSeed})
+	}
+	if flat != "" {
+		return fmt.Errorf(
+			"shard: %s holds both a shard layout manifest (%s) and flat store files (%s); "+
+				"one of the two would be ignored — move one of them out before opening", root, layoutFile, flat)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return fmt.Errorf("shard: read %s: %w", path, err)
 	}
+	var l layout
+	if err := json.Unmarshal(data, &l); err != nil {
+		return fmt.Errorf("shard: parse %s: %w", path, err)
+	}
+	if l.Schema != layoutSchema {
+		return fmt.Errorf("shard: %s: unknown schema %q", path, l.Schema)
+	}
+	if l.Shards != shards || l.HashSeed != DefaultHashSeed {
+		return fmt.Errorf(
+			"shard: %s was created with %d shards (hash seed %#x) but %d shards (hash seed %#x) were requested; "+
+				"changing the shard layout of an existing data dir would misroute items — use a fresh -data-dir",
+			root, l.Shards, l.HashSeed, shards, DefaultHashSeed)
+	}
+	return nil
 }
 
 // writeLayout writes the manifest atomically (temp file + rename) so a
@@ -329,7 +341,7 @@ func jump(key uint64, buckets int) int {
 
 // ShardFor returns the shard index owning the item ID.
 func (s *ShardedStore) ShardFor(id string) int {
-	return jump(fnv1a(s.seed, id), len(s.shards))
+	return jump(fnv1a(DefaultHashSeed, id), len(s.shards))
 }
 
 func (s *ShardedStore) shard(id string) *store.Store {
@@ -339,10 +351,17 @@ func (s *ShardedStore) shard(id string) *store.Store {
 // NumShards returns the shard count.
 func (s *ShardedStore) NumShards() int { return len(s.shards) }
 
-// HashSeed returns the item-placement hash seed. A replication
-// follower compares it against the primary's so a replica can never
-// silently apply a shard stream under a different routing function.
-func (s *ShardedStore) HashSeed() uint64 { return s.seed }
+// HashSeed returns the item-placement hash seed, or 0 for a single
+// shard, where nothing is placed (what an unsharded primary has always
+// reported). A replication follower compares it against the primary's
+// so a replica can never silently apply a shard stream under a
+// different routing function.
+func (s *ShardedStore) HashSeed() uint64 {
+	if len(s.shards) == 1 {
+		return 0
+	}
+	return DefaultHashSeed
+}
 
 // ReplStatus fans out the per-shard replication positions (WAL end,
 // retention horizon, newest snapshot cut). Only durable stores have a
@@ -362,10 +381,6 @@ func (s *ShardedStore) Shard(i int) *store.Store { return s.shards[i] }
 
 // AppendReviews routes the ingest to the item's shard.
 func (s *ShardedStore) AppendReviews(id, name string, reviews []extract.RawReview) (store.ItemStats, error) {
-	if id == "" {
-		// Match the unsharded store's error without hashing "".
-		return store.ItemStats{}, errors.New("store: item id must be non-empty")
-	}
 	return s.shard(id).AppendReviews(id, name, reviews)
 }
 
@@ -472,7 +487,11 @@ func (s *ShardedStore) Len() int {
 
 // Stats fans out across shards and aggregates, attaching the
 // per-shard breakdown so hot shards and skewed caches are observable.
+// A single shard's Stats are returned as they are, with no breakdown.
 func (s *ShardedStore) Stats() store.Stats {
+	if len(s.shards) == 1 {
+		return s.shards[0].Stats()
+	}
 	per := make([]store.Stats, len(s.shards))
 	s.fanOut(func(i int) { per[i] = s.shards[i].Stats() })
 	agg := store.Stats{Shards: len(s.shards), PerShard: per}

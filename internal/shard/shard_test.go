@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,15 +14,16 @@ import (
 	"osars/internal/dataset"
 	"osars/internal/extract"
 	"osars/internal/model"
+	"osars/internal/ontoreg"
 	"osars/internal/store"
 )
 
 func storeTemplate() store.Config {
 	ont := dataset.CellPhoneOntology()
-	return store.Config{
-		Metric:   model.Metric{Ont: ont, Epsilon: 0.5},
-		Pipeline: extract.NewPipeline(extract.NewMatcher(ont), nil),
-	}
+	return store.Config{Runtime: ontoreg.ConfigRuntime(
+		model.Metric{Ont: ont, Epsilon: 0.5},
+		extract.NewPipeline(extract.NewMatcher(ont), nil),
+	)}
 }
 
 func newSharded(t *testing.T, shards int, dataDir string) *ShardedStore {
@@ -89,15 +91,11 @@ func TestRoutingDeterministic(t *testing.T) {
 	a := newSharded(t, 8, "")
 	b := newSharded(t, 8, "")
 	moved := 0
-	other, err := New(Config{Shards: 8, HashSeed: 12345, Store: storeTemplate()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, id := range ids {
 		if a.ShardFor(id) != b.ShardFor(id) {
 			t.Fatalf("instances with the same seed disagree on %q", id)
 		}
-		if a.ShardFor(id) != other.ShardFor(id) {
+		if a.ShardFor(id) != jump(fnv1a(12345, id), 8) {
 			moved++
 		}
 	}
@@ -286,8 +284,9 @@ func TestDurableShardedRestart(t *testing.T) {
 }
 
 // TestLayoutGuards pins the durable-layout safety rails: a sharded
-// data dir cannot be reopened with a different shard count or hash
-// seed, and a flat (unsharded) data dir is refused outright.
+// data dir cannot be reopened with a different shard count or under a
+// manifest naming another hash seed, and a flat (one-shard) data dir is
+// refused at more than one shard.
 func TestLayoutGuards(t *testing.T) {
 	dir := t.TempDir()
 	s := newSharded(t, 4, dir)
@@ -303,10 +302,15 @@ func TestLayoutGuards(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("reopening a 4-shard dir with 8 shards succeeded")
 	}
-	cfg = Config{Shards: 4, HashSeed: 999, Store: storeTemplate()}
-	cfg.Store.DataDir = dir
+	// A manifest naming another seed (the manifest is input from disk).
+	seedDir := t.TempDir()
+	if err := writeLayout(filepath.Join(seedDir, layoutFile), layout{Schema: layoutSchema, Shards: 4, HashSeed: 999}); err != nil {
+		t.Fatal(err)
+	}
+	cfg = Config{Shards: 4, Store: storeTemplate()}
+	cfg.Store.DataDir = seedDir
 	if _, err := New(cfg); err == nil {
-		t.Fatal("reopening with a different hash seed succeeded")
+		t.Fatal("opening under a manifest with a different hash seed succeeded")
 	}
 	// Same layout reopens fine.
 	s2 := newSharded(t, 4, dir)
@@ -359,6 +363,132 @@ func TestShardDirsLayout(t *testing.T) {
 		}
 		if len(entries) == 0 {
 			t.Fatalf("shard %d dir is empty; want WAL/snapshot files", i)
+		}
+	}
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestOneShardIsFlatLayout pins that one shard is the flat layout in
+// both directions: it writes exactly the files a bare store.Store
+// writes, in the data dir itself (no manifest, no shard-0000), and a
+// bare store reopens them with the same corpus.
+func TestOneShardIsFlatLayout(t *testing.T) {
+	dir, flatDir := t.TempDir(), t.TempDir()
+	s := newSharded(t, 1, dir)
+	flatCfg := storeTemplate()
+	flatCfg.DataDir = flatDir
+	flat, err := store.New(flatCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range genIDs(12) {
+		revs := phoneReviews[i%4 : i%4+1]
+		if _, err := s.AppendReviews(id, "", revs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := flat.AppendReviews(id, "", revs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := listJSON(t, s.List())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(dirNames(t, dir)), fmt.Sprint(dirNames(t, flatDir)); got != want {
+		t.Fatalf("one-shard data dir holds %s, a bare store's holds %s", got, want)
+	}
+	bareCfg := storeTemplate()
+	bareCfg.DataDir = dir
+	bare, err := store.New(bareCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if got := listJSON(t, bare.List()); got != want {
+		t.Fatalf("a bare store reopened the one-shard dir as:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestOneShardReportsLikeFlatStore pins what a one-shard store reports
+// where a bare store.Store is observable: Stats with no per-shard
+// breakdown, a hash seed of 0 (nothing is placed), and the store's own
+// error for an empty item ID.
+func TestOneShardReportsLikeFlatStore(t *testing.T) {
+	s := newSharded(t, 1, "")
+	flat, err := store.New(storeTemplate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendReviews("p1", "", phoneReviews); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Shards != 0 || st.PerShard != nil || st.Items != 1 || st.Appends != 1 {
+		t.Fatalf("one-shard Stats = %+v, want a flat store's (no shards, no per_shard)", st)
+	}
+	if seed := s.HashSeed(); seed != 0 {
+		t.Fatalf("one-shard HashSeed = %#x, want 0", seed)
+	}
+	if seed := newSharded(t, 4, "").HashSeed(); seed != DefaultHashSeed {
+		t.Fatalf("4-shard HashSeed = %#x, want DefaultHashSeed", seed)
+	}
+	_, got := s.AppendReviews("", "", phoneReviews[:1])
+	_, want := flat.AppendReviews("", "", phoneReviews[:1])
+	if got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("empty id: one-shard error %v, store error %v", got, want)
+	}
+}
+
+// TestLayoutRefusesManifestBesideFlatFiles builds by hand what a flat
+// store opened in a 4-shard dir leaves behind: the manifest and shard
+// dirs, plus an acknowledged flat WAL in the root. Opening it at either
+// count would ignore one of the two, so both counts are refused with an
+// error that names both.
+func TestLayoutRefusesManifestBesideFlatFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := newSharded(t, 4, dir)
+	if _, err := s.AppendReviews("p1", "", phoneReviews[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flatCfg := storeTemplate()
+	flatCfg.DataDir = dir
+	flat, err := store.New(flatCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.AppendReviews("p2", "", phoneReviews[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{4, 1} {
+		cfg := Config{Shards: shards, Store: storeTemplate()}
+		cfg.Store.DataDir = dir
+		_, err := New(cfg)
+		if err == nil {
+			t.Fatalf("opening a manifest beside flat store files with %d shards succeeded", shards)
+		}
+		if msg := err.Error(); !strings.Contains(msg, layoutFile) || !strings.Contains(msg, "flat store files (0") {
+			t.Fatalf("%d shards: error %q does not name both the manifest and the flat files", shards, msg)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"osars/internal/dataset"
 	"osars/internal/extract"
 	"osars/internal/model"
+	"osars/internal/ontoreg"
 )
 
 // The data directory the recovery benchmarks open has the shape of
@@ -22,10 +23,10 @@ const followItems, followReviews, followTail = 32, 1000, 90
 // is generated from.
 func followConfig() Config {
 	ont := dataset.MedicalOntology(dataset.MedicalOntologyConfig{Seed: 1})
-	return Config{
-		Metric:   model.Metric{Ont: ont, Epsilon: 0.5},
-		Pipeline: extract.NewPipeline(extract.NewMatcher(ont), nil),
-	}
+	return Config{Runtime: ontoreg.ConfigRuntime(
+		model.Metric{Ont: ont, Epsilon: 0.5},
+		extract.NewPipeline(extract.NewMatcher(ont), nil),
+	)}
 }
 
 // writeFollowDir writes that directory under tb.TempDir, building the

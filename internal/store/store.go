@@ -79,19 +79,12 @@ const (
 
 // Config configures a Store.
 type Config struct {
-	// Metric is the Definition-1/2 metric (required unless Runtime is
-	// set: Metric.Ont != nil).
-	Metric model.Metric
-	// Pipeline annotates incoming reviews (required unless Runtime is
-	// set).
-	Pipeline *extract.Pipeline
-	// Runtime, when non-nil, supplies the initial active ontology
-	// runtime (metric + pipeline + version identity) and takes
-	// precedence over Metric/Pipeline. When nil, one is synthesized
-	// from Metric/Pipeline with the unversioned "config" identity.
-	// The active runtime can later be hot-swapped with
-	// ActivateOntology; on a durable store a recovered activation
-	// record overrides this initial value.
+	// Runtime is the initial active ontology runtime (required: the
+	// Definition-1/2 metric, the annotation pipeline and a version
+	// identity; ontoreg.ConfigRuntime builds an unversioned one from a
+	// metric and a pipeline). The active runtime can later be
+	// hot-swapped with ActivateOntology; on a durable store a recovered
+	// activation record overrides this initial value.
 	Runtime *ontoreg.Runtime
 	// Seed drives randomized rounding (default 1).
 	Seed int64
@@ -279,13 +272,7 @@ const annVerMixed = "\x00mixed"
 // Close when done with a durable store.
 func New(cfg Config) (*Store, error) {
 	if cfg.Runtime == nil {
-		if cfg.Metric.Ont == nil {
-			return nil, errors.New("store: Config.Metric.Ont is required")
-		}
-		if cfg.Pipeline == nil {
-			return nil, errors.New("store: Config.Pipeline is required")
-		}
-		cfg.Runtime = ontoreg.ConfigRuntime(cfg.Metric, cfg.Pipeline)
+		return nil, errors.New("store: Config.Runtime is required")
 	}
 	if cfg.Runtime.Metric.Ont == nil || cfg.Runtime.Pipeline == nil {
 		return nil, errors.New("store: Config.Runtime needs a metric ontology and a pipeline")

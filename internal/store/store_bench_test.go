@@ -7,6 +7,7 @@ import (
 	"osars/internal/dataset"
 	"osars/internal/extract"
 	"osars/internal/model"
+	"osars/internal/ontoreg"
 )
 
 // benchCorpus returns the largest item of the small synthetic
@@ -40,10 +41,10 @@ func benchStore(b *testing.B) *Store {
 
 func testConfigBench() Config {
 	ont := dataset.CellPhoneOntology()
-	return Config{
-		Metric:   model.Metric{Ont: ont, Epsilon: 0.5},
-		Pipeline: extract.NewPipeline(extract.NewMatcher(ont), nil),
-	}
+	return Config{Runtime: ontoreg.ConfigRuntime(
+		model.Metric{Ont: ont, Epsilon: 0.5},
+		extract.NewPipeline(extract.NewMatcher(ont), nil),
+	)}
 }
 
 // BenchmarkSummarizeCold is the stateless baseline: every iteration

@@ -10,14 +10,15 @@ import (
 	"osars/internal/dataset"
 	"osars/internal/extract"
 	"osars/internal/model"
+	"osars/internal/ontoreg"
 )
 
 func testConfig() Config {
 	ont := dataset.CellPhoneOntology()
-	return Config{
-		Metric:   model.Metric{Ont: ont, Epsilon: 0.5},
-		Pipeline: extract.NewPipeline(extract.NewMatcher(ont), nil),
-	}
+	return Config{Runtime: ontoreg.ConfigRuntime(
+		model.Metric{Ont: ont, Epsilon: 0.5},
+		extract.NewPipeline(extract.NewMatcher(ont), nil),
+	)}
 }
 
 func testStore(t *testing.T) *Store {
@@ -38,12 +39,15 @@ var phoneReviews = []extract.RawReview{
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("New accepted a config without an ontology")
+		t.Fatal("New accepted a config without a runtime")
 	}
-	cfg := testConfig()
-	cfg.Pipeline = nil
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted a config without a pipeline")
+	ont := dataset.CellPhoneOntology()
+	pipe := extract.NewPipeline(extract.NewMatcher(ont), nil)
+	if _, err := New(Config{Runtime: ontoreg.ConfigRuntime(model.Metric{Epsilon: 0.5}, pipe)}); err == nil {
+		t.Fatal("New accepted a runtime without an ontology")
+	}
+	if _, err := New(Config{Runtime: ontoreg.ConfigRuntime(model.Metric{Ont: ont, Epsilon: 0.5}, nil)}); err == nil {
+		t.Fatal("New accepted a runtime without a pipeline")
 	}
 }
 

@@ -150,7 +150,7 @@ func Open(dir string, opts Options) (*Log, RecoveryInfo, error) {
 			l.nextSeq = seg.firstSeq
 			info.FirstSeq = seg.firstSeq
 		}
-		validBytes, n, err := scanSegment(seg.path, l.nextSeq)
+		validBytes, n, err := scanSegment(seg.path, seg.size, l.nextSeq)
 		if err != nil {
 			return nil, RecoveryInfo{}, err
 		}
@@ -230,16 +230,17 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// scanSegment validates records starting at wantSeq and returns the
-// byte offset of the end of the last valid record plus the number of
-// valid records. Corruption is not an error — the caller truncates.
-func scanSegment(path string, wantSeq uint64) (validBytes int64, records int, err error) {
+// scanSegment validates the records of a segment of size bytes
+// starting at wantSeq and returns the byte offset of the end of the
+// last valid record plus the number of valid records. Corruption is
+// not an error — the caller truncates.
+func scanSegment(path string, size int64, wantSeq uint64) (validBytes int64, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	r := &segmentReader{f: f}
+	r := &segmentReader{f: f, size: size}
 	for {
 		seq, _, ok, err := r.next()
 		if err != nil {
@@ -254,10 +255,11 @@ func scanSegment(path string, wantSeq uint64) (validBytes int64, records int, er
 	}
 }
 
-// segmentReader iterates the frames of one segment file, reporting
-// torn/corrupt tails as a clean end-of-iteration.
+// segmentReader iterates the frames of one segment file of size bytes,
+// reporting torn/corrupt tails as a clean end-of-iteration.
 type segmentReader struct {
 	f      *os.File
+	size   int64
 	offset int64
 	hdr    [headerSize]byte
 	body   []byte
@@ -265,7 +267,10 @@ type segmentReader struct {
 
 // next returns the next record, or ok=false at the end of the valid
 // prefix (clean EOF, short frame, oversized length or CRC mismatch).
-// The returned payload is only valid until the next call.
+// A frame that claims to end past the end of the file is a short
+// frame, found before its body is allocated: a corrupt length costs
+// no allocation. The returned payload is only valid until the next
+// call.
 func (r *segmentReader) next() (seq uint64, payload []byte, ok bool, err error) {
 	if _, err := io.ReadFull(r.f, r.hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -275,7 +280,7 @@ func (r *segmentReader) next() (seq uint64, payload []byte, ok bool, err error) 
 	}
 	length := binary.LittleEndian.Uint32(r.hdr[0:4])
 	crc := binary.LittleEndian.Uint32(r.hdr[4:8])
-	if length < seqSize || length > MaxRecordBytes+seqSize {
+	if length < seqSize || length > MaxRecordBytes+seqSize || r.offset+headerSize+int64(length) > r.size {
 		return 0, nil, false, nil
 	}
 	if cap(r.body) < int(length) {
@@ -512,7 +517,11 @@ func replaySegment(path string, after uint64, fn func(seq uint64, payload []byte
 		return err
 	}
 	defer f.Close()
-	r := &segmentReader{f: f}
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	r := &segmentReader{f: f, size: fi.Size()}
 	for {
 		seq, payload, ok, err := r.next()
 		if err != nil {

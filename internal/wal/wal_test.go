@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -310,5 +312,33 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	defer l.Close()
 	if _, err := l.Append(make([]byte, MaxRecordBytes+1)); err == nil {
 		t.Fatal("Append accepted a record beyond MaxRecordBytes")
+	}
+}
+
+// TestTornHeaderClaimNotAllocated opens a segment that is nothing but
+// a frame header claiming a MaxRecordBytes payload. The torn tail is
+// cut as always, but without allocating the length the header claims:
+// a frame that would end past the end of the file is torn before its
+// body is read.
+func TestTornHeaderClaimNotAllocated(t *testing.T) {
+	dir := t.TempDir()
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], MaxRecordBytes+seqSize)
+	if err := os.WriteFile(filepath.Join(dir, "00000000000000000001"+segmentSuffix), hdr[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, info, err := Open(dir, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if info.Records != 0 || info.TruncatedBytes != headerSize {
+		t.Fatalf("recovery info = %+v, want 0 records and %d truncated bytes", info, headerSize)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Open allocated %d bytes to cut a %d-byte torn header", alloc, headerSize)
 	}
 }

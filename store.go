@@ -15,8 +15,8 @@ import (
 // library-level counterpart of the server's stateful
 // /v1/items endpoints. With StoreOptions.Shards > 1 the corpus is
 // partitioned across independent shards (each with its own lock,
-// generation counter, summary-cache slice and WAL stream) behind the
-// same interface.
+// generation counter, summary-cache slice and WAL stream); an
+// unsharded store is the one-shard case of the same implementation.
 type (
 	// ItemStats is the externally visible state of one stored item.
 	ItemStats = store.ItemStats
@@ -36,12 +36,12 @@ type (
 
 // Store is the stateful corpus: a concurrency-safe collection of
 // incrementally annotated items with a generation-aware summary cache.
-// Create one with Summarizer.NewStore / Summarizer.OpenStore. Two
-// implementations satisfy it: the single-partition store.Store and the
-// sharded shard.ShardedStore (StoreOptions.Shards > 1), which routes
-// each item to one of N independent partitions by a seeded consistent
-// hash so appends and solves on different items stop contending on one
-// lock and one WAL stream.
+// Create one with Summarizer.NewStore / Summarizer.OpenStore. Its one
+// implementation is shard.ShardedStore, which routes each item to one
+// of StoreOptions.Shards independent partitions by a consistent hash,
+// so appends and solves on different items stop contending on one
+// lock and one WAL stream. It stays an interface so callers can wrap
+// or substitute a store.
 type Store interface {
 	// AppendReviews ingests new reviews for the item, creating it if
 	// needed; only the new reviews are annotated. On a durable store
@@ -52,9 +52,8 @@ type Store interface {
 	Item(id string) (*Item, uint64, bool)
 	// ItemStats returns the stats of one item.
 	ItemStats(id string) (ItemStats, bool)
-	// List returns the stats of every item, sorted by ID. A sharded
-	// store's List is byte-identical to the unsharded store's over the
-	// same corpus.
+	// List returns the stats of every item, sorted by ID, byte-identical
+	// at every shard count over the same corpus.
 	List() []ItemStats
 	// Len returns the number of items.
 	Len() int
@@ -93,11 +92,8 @@ type Store interface {
 	Close() error
 }
 
-// Both corpus implementations satisfy the Store interface.
-var (
-	_ Store = (*store.Store)(nil)
-	_ Store = (*shard.ShardedStore)(nil)
-)
+// The one corpus implementation satisfies the Store interface.
+var _ Store = (*shard.ShardedStore)(nil)
 
 // The write-ahead log fsync policies.
 const (
@@ -119,7 +115,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return store.ParseFsyncPo
 var ErrItemNotFound = store.ErrNotFound
 
 // StoreOptions tunes a Store's summary cache, durability and
-// partitioning. The zero value is an unsharded in-memory store with
+// partitioning. The zero value is a one-shard in-memory store with
 // the default cache budgets (store.DefaultMaxCacheEntries entries,
 // 64 MiB).
 type StoreOptions struct {
@@ -135,16 +131,12 @@ type StoreOptions struct {
 	// Shards partitions the corpus across this many independent
 	// stores (default/≤1: a single partition). Each shard owns its own
 	// lock, generation counter, summary-cache slice and — in durable
-	// mode — its own WAL/snapshot directory <DataDir>/shard-NNNN.
-	// Items route to shards by a seeded consistent hash of the item
-	// ID, which is stable across restarts; a durable sharded data
-	// directory is pinned to its layout and cannot be reopened with a
-	// different shard count.
+	// mode — its own WAL/snapshot directory: DataDir itself for one
+	// shard (the flat layout), <DataDir>/shard-NNNN for more. Items
+	// route to shards by a consistent hash of the item ID, which is
+	// stable across restarts. A durable data directory is pinned to its
+	// layout and cannot be reopened with a different shard count.
 	Shards int
-	// ShardHashSeed overrides the item-placement hash seed (default
-	// shard.DefaultHashSeed). Rarely needed; changing it on an
-	// existing durable directory is refused.
-	ShardHashSeed uint64
 
 	// DataDir makes the store durable: ingestion is written to a
 	// segmented write-ahead log under this directory before it is
@@ -200,7 +192,8 @@ func (s *Summarizer) NewStore(opts StoreOptions) Store {
 // plus a write-ahead-log replay (Store.Recovery reports what was
 // restored), and every subsequent acknowledged write survives a
 // restart. With opts.Shards > 1 the corpus is partitioned across that
-// many independent shards (recovered in parallel at boot). Call
+// many independent shards (recovered in parallel at boot). A data
+// directory written under another shard count is refused. Call
 // Store.Close on shutdown to flush the log(s) and write final
 // snapshots.
 func (s *Summarizer) OpenStore(opts StoreOptions) (Store, error) {
@@ -217,12 +210,9 @@ func (s *Summarizer) OpenStore(opts StoreOptions) (Store, error) {
 		Replica:         opts.Replica,
 		Obs:             opts.Metrics,
 	}
-	if opts.Shards > 1 {
-		return shard.New(shard.Config{
-			Shards:   opts.Shards,
-			HashSeed: opts.ShardHashSeed,
-			Store:    cfg,
-		})
+	st, err := shard.New(shard.Config{Shards: max(opts.Shards, 1), Store: cfg})
+	if err != nil {
+		return nil, err // not a typed nil inside the interface
 	}
-	return store.New(cfg)
+	return st, nil
 }

@@ -1,11 +1,15 @@
 package osars
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"osars/internal/dataset"
+	"osars/internal/store"
 )
 
 func storeFixture(t *testing.T) (*Summarizer, Store) {
@@ -125,6 +129,103 @@ func TestStoreRejectsUnknownMethod(t *testing.T) {
 		}
 		if _, _, err := st.Summary("p1", 2, Sentences, Method(99)); err == nil {
 			t.Fatalf("shards=%d: unknown method accepted", shards)
+		}
+	}
+}
+
+// TestOpenStoreReadsFlatDir pins that a data dir written by a bare
+// store.Store, the flat layout of every unsharded data dir, opens
+// through OpenStore at the default shard count and at one shard with
+// every item, generation and summary, and that opening it renames no
+// file and writes no shard manifest.
+func TestOpenStoreReadsFlatDir(t *testing.T) {
+	s, err := New(Config{Ontology: dataset.CellPhoneOntology()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	flat, err := store.New(store.Config{Runtime: s.rt, Seed: s.seed, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"p1", "p2", "p3", "p4"}
+	for i, id := range ids {
+		if _, err := flat.AppendReviews(id, "Phone "+id, storeReviews[:1+i%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Some records covered by a snapshot, a generation bump and a
+	// delete left in the WAL after it.
+	if err := flat.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.AppendReviews("p1", "", []Review{{ID: "r9", Text: "The speaker is too quiet."}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.Delete("p4"); err != nil {
+		t.Fatal(err)
+	}
+	summaries := func(st Store) string {
+		var out []*Summary
+		for _, id := range ids[:3] {
+			for _, g := range []Granularity{Pairs, Sentences, Reviews} {
+				sum, _, err := st.Summary(id, 2, g, MethodGreedy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, sum)
+			}
+		}
+		data, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	wantItems, err := json.Marshal(flat.List())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSums := summaries(flat)
+	if err := flat.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	names := func() string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return strings.Join(out, " ")
+	}
+	for _, shards := range []int{0, 1} {
+		before := names()
+		st, err := s.OpenStore(StoreOptions{DataDir: dir, Shards: shards})
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if after := names(); after != before {
+			t.Fatalf("%d shards: opening changed the data dir from %q to %q", shards, before, after)
+		}
+		gotItems, err := json.Marshal(st.List())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotItems) != string(wantItems) {
+			t.Fatalf("%d shards: items\n got %s\nwant %s", shards, gotItems, wantItems)
+		}
+		if got := summaries(st); got != wantSums {
+			t.Fatalf("%d shards: summaries\n got %s\nwant %s", shards, got, wantSums)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(names(), "shard-") {
+			t.Fatalf("%d shards: the flat data dir gained shard files: %s", shards, names())
 		}
 	}
 }

@@ -1,9 +1,11 @@
-// Package jsonscan is a reflection-free JSON scanner for
-// schema-specific decoders. A decoder walks its input with a Decoder
+// Package jsonscan is a reflection-free JSON scanner and writer for
+// schema-specific codecs. A decoder walks its input with a Decoder
 // and switches on each object key itself, decoding every field with
 // the method or function of its type, so no value is decoded through
-// reflect. The scanner keeps the rules of encoding/json that a decoder
-// built on it can be held to:
+// reflect; an encoder writes each field itself with the appenders
+// (AppendString, AppendFloat), which write encoding/json's bytes. The
+// scanner keeps the rules of encoding/json that a decoder built on it
+// can be held to:
 //
 //   - keys are unquoted, then matched to field names with Fold, as
 //     encoding/json folds names; the value of an unknown key is

@@ -14,6 +14,7 @@ import (
 
 	"osars"
 	"osars/internal/dataset"
+	"osars/internal/jsonscan"
 	"osars/internal/obs"
 )
 
@@ -144,7 +145,7 @@ func FuzzSummaryResponse(f *testing.F) {
 	}
 	f.Add(uint8(0), uint8(0), "", "", "", "", 0.0, 0.0, 0, uint64(0), false, 0.0)
 	f.Fuzz(func(t *testing.T, gm, n uint8, itemID, units, onto, ver string, cost, sentiment float64, numPairs int, gen uint64, cached bool, elapsedMS float64) {
-		if !finite(elapsedMS) {
+		if !jsonscan.Finite(elapsedMS) {
 			t.Skip("elapsed_ms is always finite")
 		}
 		requireWriterMatchesEncoder(t, fuzzSummary(gm, n, itemID, units, onto, ver, cost, sentiment, numPairs, gen), elapsedMS, cached)

@@ -6,8 +6,8 @@
 // pipeline:
 //
 //  1. Writers encode their walRecord OUTSIDE s.mu into a pooled
-//     buffer (newCommitReq) and stage the encoded payload on the
-//     store's commit queue.
+//     buffer (newCommitReq, appendWalRecord) and stage the encoded
+//     payload on the store's commit queue.
 //  2. A leader writer — the first to find the queue without a leader —
 //     takes ownership of everything staged, appends the whole batch
 //     to the WAL with one wal.AppendBatch (one buffer encode, one
@@ -39,7 +39,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -47,6 +46,7 @@ import (
 	"time"
 
 	"osars/internal/extract"
+	"osars/internal/jsonscan"
 	"osars/internal/model"
 	"osars/internal/ontoreg"
 )
@@ -78,86 +78,79 @@ type commitReq struct {
 	existed bool      // delete result
 }
 
-// encodeBuf is pooled scratch for off-lock walRecord JSON encoding:
-// the output buffer, a reusable encoder over it, and a walReview
-// conversion slice.
-type encodeBuf struct {
-	buf     bytes.Buffer
-	enc     *json.Encoder
-	reviews []walReview
-}
+// encodeBuf is pooled scratch for off-lock walRecord encoding.
+type encodeBuf struct{ b []byte }
 
-var encodePool = sync.Pool{New: func() any {
-	e := &encodeBuf{}
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
+var encodePool = sync.Pool{New: func() any { return new(encodeBuf) }}
 
 var commitReqPool = sync.Pool{New: func() any { return new(commitReq) }}
 
-// newCommitReq builds a staged request, JSON-encoding the record into
-// a pooled buffer. Called by writers before they touch any store lock.
+// newCommitReq builds a staged append or delete request, encoding its
+// record into a pooled buffer. Called by writers before they touch any
+// store lock.
 func newCommitReq(op, id, name string, ts time.Time, reviews []extract.RawReview, annotated []model.Review, annVer string) (*commitReq, error) {
-	e := encodePool.Get().(*encodeBuf)
-	rec := walRecord{Op: op, ID: id, Name: name, TS: ts}
-	if len(reviews) > 0 {
-		rr := e.reviews[:0]
-		for _, r := range reviews {
-			rr = append(rr, walReview{ID: r.ID, Text: r.Text, Rating: r.Rating})
-		}
-		e.reviews = rr
-		rec.Reviews = rr
-	}
-	e.buf.Reset()
-	if err := e.enc.Encode(&rec); err != nil {
-		e.recycle()
-		return nil, err
-	}
-	payload := e.buf.Bytes()
-	payload = payload[:len(payload)-1] // drop Encode's trailing newline
-
-	req := commitReqPool.Get().(*commitReq)
-	*req = commitReq{op: op, id: id, name: name, ts: ts, raws: reviews, annotated: annotated, annVer: annVer, enc: e, payload: payload}
-	return req, nil
+	return stageReq(commitReq{op: op, id: id, name: name, ts: ts, raws: reviews, annotated: annotated, annVer: annVer}, nil)
 }
 
 // newActivateReq builds a staged ontology-activation request. The
 // record embeds the runtime's canonical entry payload, so replay and
 // replicas reconstruct the exact runtime from the log alone.
 func newActivateReq(rt *ontoreg.Runtime, ts time.Time) (*commitReq, error) {
+	return stageReq(commitReq{op: opActivate, ts: ts, rt: rt}, rt.Payload)
+}
+
+// stageReq returns a pooled copy of req with its record, and entry for
+// an activation, encoded as its payload.
+func stageReq(req commitReq, entry json.RawMessage) (*commitReq, error) {
 	e := encodePool.Get().(*encodeBuf)
-	rec := walRecord{Op: opActivate, TS: ts, Entry: rt.Payload}
-	e.buf.Reset()
-	if err := e.enc.Encode(&rec); err != nil {
-		e.recycle()
+	payload, err := appendWalRecord(e.b[:0], req.op, req.id, req.name, req.ts, req.raws, entry)
+	e.b = payload
+	if err != nil {
+		encodePool.Put(e)
 		return nil, err
 	}
-	payload := e.buf.Bytes()
-	payload = payload[:len(payload)-1]
+	r := commitReqPool.Get().(*commitReq)
+	*r = req
+	r.enc, r.payload = e, payload
+	return r, nil
+}
 
-	req := commitReqPool.Get().(*commitReq)
-	*req = commitReq{op: opActivate, ts: ts, rt: rt, enc: e, payload: payload}
-	return req, nil
+// appendWalRecord appends the walRecord of op as json.Marshal writes
+// it, with its reviews taken from reviews; TestWalRecordRoundTrip holds
+// it to json.Encoder's bytes. The entry of an activation is written as
+// Marshal writes a json.RawMessage.
+func appendWalRecord(b []byte, op, id, name string, ts time.Time, reviews []extract.RawReview, entry json.RawMessage) ([]byte, error) {
+	var w jsonWriter
+	b = jsonscan.AppendString(append(b, `{"op":`...), op)
+	b = jsonscan.AppendString(append(b, `,"id":`...), id)
+	if name != "" {
+		b = jsonscan.AppendString(append(b, `,"name":`...), name)
+	}
+	b = w.time(append(b, `,"ts":`...), ts)
+	if len(reviews) > 0 {
+		b = append(b, `,"reviews":[`...)
+		for i := range reviews {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = w.raw(b, &reviews[i])
+		}
+		b = append(b, ']')
+	}
+	if len(entry) > 0 {
+		b = w.rawJSON(append(b, `,"entry":`...), entry)
+	}
+	return append(b, '}'), w.err
 }
 
 // release returns the request and its encode scratch to their pools.
 // Only the staging writer may call it, after commit() returned.
 func (r *commitReq) release() {
 	if r.enc != nil {
-		r.enc.recycle()
+		encodePool.Put(r.enc)
 	}
 	*r = commitReq{}
 	commitReqPool.Put(r)
-}
-
-// recycle clears the review texts (so the pool never pins large
-// strings) and returns the scratch to the pool.
-func (e *encodeBuf) recycle() {
-	for i := range e.reviews {
-		e.reviews[i] = walReview{}
-	}
-	e.reviews = e.reviews[:0]
-	encodePool.Put(e)
 }
 
 // commitQueue is the leader-writer group-commit coordinator. There is

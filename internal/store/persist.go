@@ -15,7 +15,9 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,7 +129,9 @@ type snapItem struct {
 	UpdatedAt    time.Time   `json:"updated_at"`
 	Item         *model.Item `json:"item"`
 	AnnVer       string      `json:"ann_ver,omitempty"`
-	Raws         []walReview `json:"raws,omitempty"`
+	// Raws are written in their logged form, as json.Marshal writes a
+	// []walReview, and read back as Unmarshal reads either type.
+	Raws []extract.RawReview `json:"raws,omitempty"`
 }
 
 // snapFile is the JSON payload of one snapshot. ActiveEntry embeds the
@@ -216,7 +220,7 @@ func decodeSnapItem(d *jsonscan.Decoder, it *snapItem) error {
 		case jsonscan.Fold(key, "ann_ver"):
 			return d.Str(&it.AnnVer)
 		case jsonscan.Fold(key, "raws"):
-			return jsonscan.Slice(d, &it.Raws, func(r *walReview) error { return decodeWalReview(d, r) })
+			return jsonscan.Slice(d, &it.Raws, func(r *extract.RawReview) error { return decodeRawReview(d, r) })
 		}
 		return d.Skip()
 	})
@@ -284,7 +288,7 @@ func decodePair(d *jsonscan.Decoder, p *model.Pair) error {
 	})
 }
 
-func decodeWalReview(d *jsonscan.Decoder, r *walReview) error {
+func decodeRawReview(d *jsonscan.Decoder, r *extract.RawReview) error {
 	return d.Object(func(key []byte) error {
 		switch {
 		case jsonscan.Fold(key, "id"):
@@ -296,6 +300,205 @@ func decodeWalReview(d *jsonscan.Decoder, r *walReview) error {
 		}
 		return d.Skip()
 	})
+}
+
+// snapChunk is how many bytes writeSnapshot gathers before it hands
+// them to its writer.
+const snapChunk = 256 << 10
+
+// writeSnapshot writes snap to w without reflection, as
+// json.Marshal(snap) writes it with each item's raws in their logged
+// form (walReview's), in chunks of about snapChunk bytes.
+// FuzzEncodeSnapshot and TestSnapshotWriterMatchesMarshal hold it to
+// Marshal's bytes, or an error wherever Marshal errors. Its field
+// writers, one per type, keep Marshal's rules: fields in struct order,
+// omitempty fields left out when empty, a nil slice null and an empty
+// one [], strings and floats by jsonscan's appenders (a non-finite
+// float is an error), timestamps by time.Time's MarshalJSON, and
+// active_entry as json.Marshal writes the json.RawMessage alone.
+func writeSnapshot(w io.Writer, snap *snapFile) error {
+	sw := &snapWriter{w: w}
+	b := make([]byte, 0, snapChunk+snapChunk/4)
+	b = jsonscan.AppendString(append(b, `{"schema":`...), snap.Schema)
+	b = strconv.AppendUint(append(b, `,"last_seq":`...), snap.LastSeq, 10)
+	b = strconv.AppendUint(append(b, `,"next_gen":`...), snap.NextGen, 10)
+	b = strconv.AppendUint(append(b, `,"appends":`...), snap.Appends, 10)
+	if len(snap.ActiveEntry) > 0 {
+		b = sw.rawJSON(append(b, `,"active_entry":`...), snap.ActiveEntry)
+	}
+	if snap.Activations != 0 {
+		b = strconv.AppendUint(append(b, `,"activations":`...), snap.Activations, 10)
+	}
+	b = append(b, `,"items":`...)
+	if snap.Items == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range snap.Items {
+			if sw.err != nil {
+				return sw.err
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = sw.item(b, &snap.Items[i])
+		}
+		b = append(b, ']')
+	}
+	b = append(b, '}')
+	if sw.err == nil {
+		_, sw.err = w.Write(b)
+	}
+	return sw.err
+}
+
+// snapWriter is writeSnapshot's state: the field writers, and the
+// writer it spills its buffer to.
+type snapWriter struct {
+	jsonWriter
+	w io.Writer
+}
+
+// spill hands b to the writer once it holds snapChunk bytes, and
+// returns the emptied buffer.
+func (w *snapWriter) spill(b []byte) []byte {
+	if len(b) < snapChunk {
+		return b
+	}
+	if w.err == nil {
+		_, w.err = w.w.Write(b)
+	}
+	return b[:0]
+}
+
+func (w *snapWriter) item(b []byte, it *snapItem) []byte {
+	b = jsonscan.AppendString(append(b, `{"id":`...), it.ID)
+	b = strconv.AppendUint(append(b, `,"gen":`...), it.Gen, 10)
+	b = strconv.AppendInt(append(b, `,"num_sentences":`...), int64(it.NumSentences), 10)
+	b = strconv.AppendInt(append(b, `,"num_pairs":`...), int64(it.NumPairs), 10)
+	b = w.time(append(b, `,"created_at":`...), it.CreatedAt)
+	b = w.time(append(b, `,"updated_at":`...), it.UpdatedAt)
+	b = append(b, `,"item":`...)
+	if it.Item == nil {
+		b = append(b, "null"...)
+	} else {
+		b = jsonscan.AppendString(append(b, `{"id":`...), it.Item.ID)
+		b = jsonscan.AppendString(append(b, `,"name":`...), it.Item.Name)
+		b = append(b, `,"reviews":`...)
+		if reviews := it.Item.Reviews; reviews == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for i := range reviews {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = w.spill(w.review(b, &reviews[i]))
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	if it.AnnVer != "" {
+		b = jsonscan.AppendString(append(b, `,"ann_ver":`...), it.AnnVer)
+	}
+	if len(it.Raws) > 0 {
+		b = append(b, `,"raws":[`...)
+		for i := range it.Raws {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = w.spill(w.raw(b, &it.Raws[i]))
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+func (w *snapWriter) review(b []byte, r *model.Review) []byte {
+	b = jsonscan.AppendString(append(b, `{"id":`...), r.ID)
+	b = w.float(append(b, `,"rating":`...), r.Rating)
+	if r.Sentences == nil {
+		return append(b, `,"sentences":null}`...)
+	}
+	b = append(b, `,"sentences":[`...)
+	for i := range r.Sentences {
+		s := &r.Sentences[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonscan.AppendString(append(b, `{"text":`...), s.Text)
+		if len(s.Pairs) > 0 {
+			b = append(b, `,"pairs":[`...)
+			for j, p := range s.Pairs {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(append(b, `{"concept":`...), int64(p.Concept), 10)
+				b = append(w.float(append(b, `,"sentiment":`...), p.Sentiment), '}')
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
+}
+
+// jsonWriter holds the field writers the snapshot writer and the WAL
+// record writer share. err keeps the first value json.Marshal would
+// refuse; what is appended after it is dropped.
+type jsonWriter struct {
+	err error
+}
+
+func (w *jsonWriter) float(b []byte, f float64) []byte {
+	if !jsonscan.Finite(f) {
+		if w.err == nil {
+			w.err = jsonscan.FloatError(f)
+		}
+		return b
+	}
+	return jsonscan.AppendFloat(b, f)
+}
+
+func (w *jsonWriter) time(b []byte, t time.Time) []byte {
+	v, err := t.MarshalJSON()
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+	return append(b, v...)
+}
+
+// rawJSON appends v as json.Marshal writes a json.RawMessage: compacted,
+// with < > & escaped inside its strings, and an error unless it is
+// valid JSON.
+func (w *jsonWriter) rawJSON(b []byte, v json.RawMessage) []byte {
+	out, err := json.Marshal(v)
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+	return append(b, out...)
+}
+
+// raw appends r as json.Marshal writes a walReview, every field of
+// which is omitempty: each present field is written after a comma, and
+// the first comma becomes the opening brace.
+func (w *jsonWriter) raw(b []byte, r *extract.RawReview) []byte {
+	start := len(b)
+	if r.ID != "" {
+		b = jsonscan.AppendString(append(b, `,"id":`...), r.ID)
+	}
+	if r.Text != "" {
+		b = jsonscan.AppendString(append(b, `,"text":`...), r.Text)
+	}
+	if r.Rating != 0 {
+		b = w.float(append(b, `,"rating":`...), r.Rating)
+	}
+	if len(b) == start {
+		return append(b, "{}"...)
+	}
+	b[start] = '{'
+	return append(b, '}')
 }
 
 // RecoveryStats reports what New had to do to restore a durable store.
@@ -349,6 +552,10 @@ type persister struct {
 	// commit kill points (commitStage); crash tests use it to copy the
 	// data directory mid-commit.
 	testCommitHook func(commitStage)
+	// testSnapshotWriter, when set before traffic starts, wraps the
+	// writer each snapshot payload is streamed to; failure tests use it
+	// to cut the write short.
+	testSnapshotWriter func(io.Writer) io.Writer
 
 	// snapMu serializes snapshot writes (timer-triggered vs Close).
 	snapMu sync.Mutex
@@ -554,7 +761,7 @@ func entryFromSnap(it *snapItem, ver string) *entry {
 		e.annVer = ver
 	}
 	if len(it.Raws) > 0 {
-		e.raws = rawReviews(it.Raws)
+		e.raws = it.Raws
 	}
 	if it.Item != nil {
 		shareSentenceTexts(it.Item.Reviews, e.raws)
@@ -586,15 +793,6 @@ func shareSentenceTexts(reviews []model.Review, raws []extract.RawReview) {
 			at += len(s.Text)
 		}
 	}
-}
-
-// walReviews converts raw reviews to their logged form.
-func walReviews(raws []extract.RawReview) []walReview {
-	out := make([]walReview, len(raws))
-	for i, r := range raws {
-		out[i] = walReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
-	}
-	return out
 }
 
 // noteLoggedLocked advances the applied position and drives the
@@ -679,17 +877,19 @@ func (p *persister) snapshot() error {
 			UpdatedAt:    e.updatedAt,
 			Item:         e.item,
 			AnnVer:       e.annVer,
-			Raws:         walReviews(e.raws),
+			Raws:         e.raws,
 		})
 	}
 	s.mu.RUnlock()
 	sort.Slice(snap.Items, func(i, j int) bool { return snap.Items[i].ID < snap.Items[j].ID })
 
-	payload, err := json.Marshal(&snap)
+	_, err := wal.WriteSnapshotStream(p.dir, seq, func(w io.Writer) error {
+		if wrap := p.testSnapshotWriter; wrap != nil {
+			w = wrap(w)
+		}
+		return writeSnapshot(w, &snap)
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := wal.WriteSnapshot(p.dir, seq, payload); err != nil {
 		return err
 	}
 	// Rotate so every record ≤ seq lives in a closed segment, then

@@ -1,12 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -311,6 +316,114 @@ func TestSnapshotSurvivesWALLoss(t *testing.T) {
 	}
 }
 
+// failAfter passes the first n bytes written to it on to w, then fails
+// as a full disk does: a short write and ENOSPC.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return f.w.Write(p)
+	}
+	k, _ := f.w.Write(p[:f.n])
+	f.n = 0
+	return k, syscall.ENOSPC
+}
+
+// TestSnapshotWriteFailureKeepsLog injects two failures into the
+// streamed snapshot write: a writer that fails after 100 bytes,
+// standing in for a short write or a full disk, and a non-finite
+// sentiment planted in an entry, which the writer refuses as
+// json.Marshal does. The background snapshot and a forced one both
+// fail with the error, and PersistErr reports it. No snapshot or temp
+// file is left and no WAL segment is removed, so a reopen recovers
+// every acknowledged record.
+func TestSnapshotWriteFailureKeepsLog(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(s *Store)
+		is     func(error) bool
+	}{
+		{"short write", func(s *Store) {
+			s.persist.testSnapshotWriter = func(w io.Writer) io.Writer { return &failAfter{w: w, n: 100} }
+		}, func(err error) bool { return errors.Is(err, syscall.ENOSPC) }},
+		{"non-finite sentiment", func(s *Store) {
+			s.mu.Lock()
+			s.items["p2"].item.Reviews[1].Sentences[0].Pairs[0].Sentiment = math.NaN()
+			s.mu.Unlock()
+		}, func(err error) bool {
+			var uv *json.UnsupportedValueError
+			return errors.As(err, &uv)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir)
+			cfg.SnapshotEvery = -1
+			s := openDurable(t, cfg)
+			if _, err := s.AppendReviews("p1", "Acme", phoneReviews[:2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AppendReviews("p2", "Bolt", phoneReviews); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AppendReviews("p1", "", phoneReviews[2:]); err != nil {
+				t.Fatal(err)
+			}
+			before := observe(t, s)
+			files := listDir(t, dir)
+
+			tc.inject(s)
+			s.persist.snapCh <- struct{}{} // the cadence's trigger
+			deadline := time.Now().Add(10 * time.Second)
+			for s.PersistErr() == nil && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if err := s.PersistErr(); !tc.is(err) {
+				t.Fatalf("PersistErr after the background snapshot = %v", err)
+			}
+			if err := s.Snapshot(); !tc.is(err) {
+				t.Fatalf("Snapshot = %v", err)
+			}
+			if got := listDir(t, dir); !reflect.DeepEqual(got, files) {
+				t.Fatalf("failed snapshots changed the directory:\nbefore %v\nafter  %v", files, got)
+			}
+			if err := s.Close(); !tc.is(err) {
+				t.Fatalf("Close = %v, want its final snapshot's failure", err)
+			}
+
+			s2 := openDurable(t, durableConfig(dir))
+			defer s2.Close()
+			if after := observe(t, s2); after != before {
+				t.Fatalf("recovery after failed snapshots changed observable state:\nbefore: %s\nafter:  %s", before, after)
+			}
+			if rec, _ := s2.Recovery(); rec.SnapshotSeq != 1 || rec.ReplayedRecords != 2 {
+				t.Fatalf("recovery = %+v, want the seq-1 snapshot and 2 replayed records", rec)
+			}
+		})
+	}
+}
+
+// listDir returns the names of dir's files, sorted.
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
 // TestFsyncPolicies exercises the interval and never policies
 // end-to-end (a process-internal "crash" keeps OS-buffered writes, so
 // all three policies recover fully here).
@@ -435,18 +548,15 @@ func TestDurableDeleteNeverServedAfterRecovery(t *testing.T) {
 
 // TestWalRecordRoundTrip pins the WAL record JSON: ratings and
 // timestamps must survive encode/decode exactly, or replayed state
-// would drift from the acknowledged state.
+// would drift from the acknowledged state. appendWalRecord writes the
+// bytes json.Encoder writes for the same walRecord, without its
+// newline, and refuses what Marshal refuses.
 func TestWalRecordRoundTrip(t *testing.T) {
-	in := walRecord{
-		Op:   opAppend,
-		ID:   "p1",
-		Name: "Acme",
-		TS:   time.Date(2026, 8, 6, 12, 34, 56, 789012345, time.UTC),
-		Reviews: []walReview{
-			{ID: "r1", Text: "The screen is excellent.", Rating: 0.30000000000000004},
-			{ID: "r2", Text: "unicode é ✓", Rating: -1},
-		},
-	}
+	ts := time.Date(2026, 8, 6, 12, 34, 56, 789012345, time.UTC)
+	in := walRecord{Op: opAppend, ID: "p1", Name: "Acme", TS: ts, Reviews: []walReview{
+		{ID: "r1", Text: "The screen is excellent.", Rating: 0.30000000000000004},
+		{ID: "r2", Text: "unicode \u00e9 \u2713", Rating: -1},
+	}}
 	data, err := json.Marshal(&in)
 	if err != nil {
 		t.Fatal(err)
@@ -457,5 +567,39 @@ func TestWalRecordRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("wal record round trip:\nin:  %+v\nout: %+v", in, out)
+	}
+
+	for _, rec := range []walRecord{
+		in,
+		{Op: opAppend, ID: "p<2>&", TS: ts.In(time.FixedZone("", -7*3600)), Reviews: []walReview{
+			{ID: "q\"1", Text: "The \"screen\" <b>&</b>.\nThe battery\u2028 is awful\\.\t\x01", Rating: 1e-7},
+			{Text: "caf\xc3 \xff \xed\xa0\x80 ok", Rating: math.Copysign(0, -1)},
+			{ID: "r3", Rating: 1e21},
+			{},
+		}},
+		{Op: opAppend, ID: "p3", Name: "", TS: ts, Reviews: []walReview{{ID: "r1", Text: "No rating."}}},
+		{Op: opAppend, ID: "p4", Name: "Renamed only", TS: ts},
+		{Op: opDelete, ID: "p1", TS: ts},
+		{Op: opActivate, TS: ts, Entry: json.RawMessage("{ \"name\" : \"<phone>\", \"eps\": [0.5] }")},
+	} {
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.TrimSuffix(enc.Bytes(), []byte("\n"))
+		var raws []extract.RawReview
+		if rec.Reviews != nil {
+			raws = rawReviews(rec.Reviews)
+		}
+		got, err := appendWalRecord([]byte("x"), rec.Op, rec.ID, rec.Name, rec.TS, raws, rec.Entry)
+		if err != nil || !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("appendWalRecord = %s (err %v)\nwant %s", got[1:], err, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+		_, want := json.Marshal(walRecord{Reviews: []walReview{{Rating: bad}}})
+		if _, err := appendWalRecord(nil, opAppend, "p", "", ts, []extract.RawReview{{Rating: bad}}, nil); err == nil || want == nil {
+			t.Fatalf("rating %v: appendWalRecord error %v, json.Marshal error %v", bad, err, want)
+		}
 	}
 }

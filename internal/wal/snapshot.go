@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,40 +35,67 @@ const (
 	snapshotHeader  = 24
 )
 
-// WriteSnapshot atomically writes a snapshot covering WAL records
-// ≤ seq into dir and returns its path.
+// WriteSnapshot atomically writes a snapshot of payload covering WAL
+// records ≤ seq into dir and returns its path.
 func WriteSnapshot(dir string, seq uint64, payload []byte) (string, error) {
-	final := filepath.Join(dir, fmt.Sprintf("%020d%s", seq, snapshotSuffix))
+	return WriteSnapshotStream(dir, seq, func(w io.Writer) error { _, err := w.Write(payload); return err })
+}
+
+// WriteSnapshotStream atomically writes a snapshot covering WAL records
+// ≤ seq into dir, its payload streamed by write, and returns its path.
+// The header's place is reserved and its checksum and length are taken
+// as the payload passes, so the header is written last, at offset 0,
+// before the file is synced and renamed into place. An error from
+// write leaves no file behind.
+func WriteSnapshotStream(dir string, seq uint64, write func(io.Writer) error) (string, error) {
 	tmp, err := os.CreateTemp(dir, "snapshot-*.tmp")
 	if err != nil {
 		return "", err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	defer tmp.Close()           // error paths; the success path closes it below
 
 	var hdr [snapshotHeader]byte
-	copy(hdr[0:8], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], snapshotVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
 	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
 		return "", err
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
+	pw := payloadWriter{f: tmp}
+	if err := write(&pw); err != nil {
+		return "", err
+	}
+	copy(hdr[0:8], snapshotMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], snapshotVersion)
+	binary.LittleEndian.PutUint32(hdr[12:16], pw.crc)
+	binary.LittleEndian.PutUint64(hdr[16:24], pw.n)
+	if _, err := tmp.WriteAt(hdr[:], 0); err != nil {
 		return "", err
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
 		return "", err
 	}
 	if err := tmp.Close(); err != nil {
 		return "", err
 	}
+	final := SnapshotPath(dir, seq)
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return "", err
 	}
 	return final, syncDir(dir)
+}
+
+// payloadWriter writes a snapshot payload to its file, keeping the
+// CRC32C and the length of what was written.
+type payloadWriter struct {
+	f   *os.File
+	crc uint32
+	n   uint64
+}
+
+func (w *payloadWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.crc = crc32.Update(w.crc, castagnoli, p[:n])
+	w.n += uint64(n)
+	return n, err
 }
 
 // ReadSnapshot loads and verifies one snapshot file.

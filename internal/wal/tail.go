@@ -328,17 +328,40 @@ func (fr *FrameReader) Next() (seq uint64, payload []byte, err error) {
 	if length < seqSize || length > MaxRecordBytes+seqSize {
 		return 0, nil, fmt.Errorf("wal: stream frame length %d out of bounds", length)
 	}
-	if cap(fr.body) < int(length) {
-		fr.body = make([]byte, length)
-	}
-	fr.body = fr.body[:length]
-	if _, err := io.ReadFull(fr.r, fr.body); err != nil {
+	if err := fr.readBody(int(length)); err != nil {
 		return 0, nil, io.ErrUnexpectedEOF
 	}
 	if crc32.Checksum(fr.body, castagnoli) != crc {
 		return 0, nil, errors.New("wal: stream frame CRC mismatch")
 	}
 	return binary.LittleEndian.Uint64(fr.body[:seqSize]), fr.body[seqSize:], nil
+}
+
+// frameReadStep is the most a FrameReader allocates for a frame body
+// before any of it has arrived.
+const frameReadStep = 64 << 10
+
+// readBody reads an n-byte frame body into fr.body. A stream has no
+// size to check a header's length against, so the body grows only with
+// the bytes that arrive: to at most twice what was read, or
+// frameReadStep, before it is read into.
+func (fr *FrameReader) readBody(n int) error {
+	body := fr.body[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(n, max(2*len(body), frameReadStep)))
+			copy(grown, body)
+			body = grown
+		}
+		k, err := io.ReadFull(fr.r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+k]
+		if err != nil {
+			fr.body = body
+			return err
+		}
+	}
+	fr.body = body
+	return nil
 }
 
 // LoadLatestSnapshotRaw returns the newest readable snapshot as its

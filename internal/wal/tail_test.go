@@ -8,8 +8,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -457,6 +459,57 @@ func TestFrameReaderRejectsCorruptStreams(t *testing.T) {
 	fr = NewFrameReader(bytes.NewReader(bad))
 	if _, _, err := fr.Next(); err == nil {
 		t.Fatal("oversized length accepted")
+	}
+}
+
+// TestFrameReaderTornClaimNotAllocated reads a stream that is nothing
+// but a frame header claiming a MaxRecordBytes payload: the cut is
+// reported without allocating the length the header claims. Frames
+// larger than the first read step still arrive whole through a reader
+// that returns a few bytes at a time.
+func TestFrameReaderTornClaimNotAllocated(t *testing.T) {
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], MaxRecordBytes+seqSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := NewFrameReader(bytes.NewReader(hdr[:])).Next()
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("torn claim error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Next allocated %d bytes to read a %d-byte stream", alloc, headerSize)
+	}
+
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := [][]byte{bytes.Repeat([]byte("0123456789abcdef"), 20000), []byte("small"), bytes.Repeat([]byte("x"), 3*frameReadStep+1)}
+	for _, p := range want {
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail, err := l.TailAfter(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	frames, n, _, err := tail.Next(MaxRecordBytes)
+	if err != nil || n != len(want) {
+		t.Fatalf("tail: n=%d err=%v", n, err)
+	}
+	fr := NewFrameReader(iotest.HalfReader(bytes.NewReader(frames)))
+	for i, p := range want {
+		seq, got, err := fr.Next()
+		if err != nil || seq != uint64(i+1) || !bytes.Equal(got, p) {
+			t.Fatalf("frame %d: seq %d, %d bytes, err %v; want seq %d, %d bytes", i, seq, len(got), err, i+1, len(p))
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("end of stream error = %v, want io.EOF", err)
 	}
 }
 

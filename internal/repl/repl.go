@@ -12,9 +12,9 @@
 //	                       GET /v1/repl/stream?shard=i&after=S
 //	primary WAL shard i  ────────────────────────────────────▶  replica shard i
 //	(wal.Tail over the      chunked raw WAL frames               ApplyReplicated:
-//	 segment files,         (identical byte framing)             local WAL append
-//	 concurrent with                                             + applyWalRecord
-//	 appends)
+//	 segment files,         (identical byte framing)             decodeChange,
+//	 concurrent with                                             local WAL append,
+//	 appends)                                                    applyLocked
 //
 // The wire format IS the on-disk format: the primary's Tail reads raw
 // frames straight out of the segment files and the replica re-verifies

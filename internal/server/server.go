@@ -138,8 +138,8 @@ type ListItemsResponse struct {
 // the per-shard breakdown for sharded stores) plus the admission-
 // control counters, so load shedding is observable without a
 // debugger. Store is omitted when the server runs stateless.
-// PersistError surfaces the store's most recent background
-// fsync/snapshot failure — a store that can no longer persist looks
+// PersistError surfaces the store's background fsync or snapshot
+// failure (PersistErr) — a store that can no longer persist looks
 // healthy on every read path, so it must be visible here.
 type StatsResponse struct {
 	Store        *osars.StoreStats `json:"store,omitempty"`

@@ -5,15 +5,16 @@
 // N lock handoffs. Group commit restructures that into a staged
 // pipeline:
 //
-//  1. Writers encode their walRecord OUTSIDE s.mu into a pooled
-//     buffer (newCommitReq, appendWalRecord) and stage the encoded
-//     payload on the store's commit queue.
+//  1. A writer (Store.write) encodes its change's walRecord OUTSIDE
+//     s.mu into a pooled buffer (stage, appendWalRecord) and stages
+//     the encoded payload on the store's commit queue
+//     (persister.commit).
 //  2. A leader writer — the first to find the queue without a leader —
 //     takes ownership of everything staged, appends the whole batch
 //     to the WAL with one wal.AppendBatch (one buffer encode, one
-//     Write), fsyncs ONCE under FsyncAlways, then applies all records
-//     under a single s.mu critical section in batch order and
-//     releases every waiter with its result.
+//     Write), fsyncs ONCE under FsyncAlways, then applies every change
+//     through applyLocked under a single s.mu critical section in
+//     batch order and releases every waiter with its result.
 //  3. Writers that arrive while a commit is in flight stage their
 //     requests and block; when the leader finishes, one of them
 //     becomes the next leader for the accumulated batch. Under load
@@ -27,8 +28,9 @@
 //   - WAL order equals apply order: a single leader runs at a time,
 //     sequence numbers are assigned in batch order by AppendBatch,
 //     and the leader applies the batch in that same order before the
-//     next leader can start — so single-threaded replay still
-//     reconstructs concurrent history exactly.
+//     next leader can start — so single-threaded replay, which applies
+//     each record through the same applyLocked, still reconstructs
+//     concurrent history exactly.
 //   - Deletes purge the summary cache in the same critical section
 //     that removes the item, exactly as before.
 //
@@ -39,43 +41,30 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"runtime"
 	"sync"
-	"time"
 
-	"osars/internal/extract"
 	"osars/internal/jsonscan"
-	"osars/internal/model"
-	"osars/internal/ontoreg"
 )
 
 // errStoreClosed is returned to writers that race Close.
 var errStoreClosed = errors.New("store is closed")
 
-// commitReq is one writer's staged write: the pre-encoded WAL payload
-// plus everything the leader needs to apply the record in memory and
-// hand the result back.
+// commitReq is one writer's staged change with its pre-encoded WAL
+// payload, and the result the leader hands back.
 type commitReq struct {
-	op        string
-	id        string
-	name      string
-	ts        time.Time
-	raws      []extract.RawReview // raw reviews (appends only)
-	annotated []model.Review      // pre-annotated reviews (appends only)
-	annVer    string              // runtime version that annotated them
-	rt        *ontoreg.Runtime    // runtime to activate (opActivate only)
-	enc       *encodeBuf          // pooled encode scratch; payload aliases it
-	payload   []byte              // JSON walRecord, valid until release()
+	change
+	enc     *encodeBuf // pooled encode scratch; payload aliases it
+	payload []byte     // JSON walRecord, valid until release()
 
 	// Results, written by the committing leader before it flips done
 	// under the queue lock; the staging writer reads them after
-	// observing done.
+	// observing done. stats and applied are what applyLocked returned.
 	done    bool
 	err     error
-	stats   ItemStats // append result
-	existed bool      // delete result
+	stats   ItemStats
+	applied bool
 }
 
 // encodeBuf is pooled scratch for off-lock walRecord encoding.
@@ -85,60 +74,46 @@ var encodePool = sync.Pool{New: func() any { return new(encodeBuf) }}
 
 var commitReqPool = sync.Pool{New: func() any { return new(commitReq) }}
 
-// newCommitReq builds a staged append or delete request, encoding its
-// record into a pooled buffer. Called by writers before they touch any
-// store lock.
-func newCommitReq(op, id, name string, ts time.Time, reviews []extract.RawReview, annotated []model.Review, annVer string) (*commitReq, error) {
-	return stageReq(commitReq{op: op, id: id, name: name, ts: ts, raws: reviews, annotated: annotated, annVer: annVer}, nil)
-}
-
-// newActivateReq builds a staged ontology-activation request. The
-// record embeds the runtime's canonical entry payload, so replay and
-// replicas reconstruct the exact runtime from the log alone.
-func newActivateReq(rt *ontoreg.Runtime, ts time.Time) (*commitReq, error) {
-	return stageReq(commitReq{op: opActivate, ts: ts, rt: rt}, rt.Payload)
-}
-
-// stageReq returns a pooled copy of req with its record, and entry for
-// an activation, encoded as its payload.
-func stageReq(req commitReq, entry json.RawMessage) (*commitReq, error) {
+// stage returns a pooled request for c with its record encoded as the
+// payload. Called by writers before they touch any store lock.
+func stage(c change) (*commitReq, error) {
 	e := encodePool.Get().(*encodeBuf)
-	payload, err := appendWalRecord(e.b[:0], req.op, req.id, req.name, req.ts, req.raws, entry)
+	payload, err := appendWalRecord(e.b[:0], &c)
 	e.b = payload
 	if err != nil {
 		encodePool.Put(e)
 		return nil, err
 	}
 	r := commitReqPool.Get().(*commitReq)
-	*r = req
-	r.enc, r.payload = e, payload
+	r.change, r.enc, r.payload = c, e, payload
 	return r, nil
 }
 
-// appendWalRecord appends the walRecord of op as json.Marshal writes
-// it, with its reviews taken from reviews; TestWalRecordRoundTrip holds
-// it to json.Encoder's bytes. The entry of an activation is written as
-// Marshal writes a json.RawMessage.
-func appendWalRecord(b []byte, op, id, name string, ts time.Time, reviews []extract.RawReview, entry json.RawMessage) ([]byte, error) {
+// appendWalRecord appends the walRecord that logs c as json.Marshal
+// writes it, with its reviews in their logged form;
+// TestWalRecordRoundTrip holds it to json.Encoder's bytes. The entry of
+// an activation, its runtime's payload, is written as Marshal writes a
+// json.RawMessage.
+func appendWalRecord(b []byte, c *change) ([]byte, error) {
 	var w jsonWriter
-	b = jsonscan.AppendString(append(b, `{"op":`...), op)
-	b = jsonscan.AppendString(append(b, `,"id":`...), id)
-	if name != "" {
-		b = jsonscan.AppendString(append(b, `,"name":`...), name)
+	b = jsonscan.AppendString(append(b, `{"op":`...), c.op)
+	b = jsonscan.AppendString(append(b, `,"id":`...), c.id)
+	if c.name != "" {
+		b = jsonscan.AppendString(append(b, `,"name":`...), c.name)
 	}
-	b = w.time(append(b, `,"ts":`...), ts)
-	if len(reviews) > 0 {
+	b = w.time(append(b, `,"ts":`...), c.ts)
+	if len(c.raws) > 0 {
 		b = append(b, `,"reviews":[`...)
-		for i := range reviews {
+		for i := range c.raws {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = w.raw(b, &reviews[i])
+			b = w.raw(b, &c.raws[i])
 		}
 		b = append(b, ']')
 	}
-	if len(entry) > 0 {
-		b = w.rawJSON(append(b, `,"entry":`...), entry)
+	if c.rt != nil && len(c.rt.Payload) > 0 {
+		b = w.rawJSON(append(b, `,"entry":`...), c.rt.Payload)
 	}
 	return append(b, '}'), w.err
 }
@@ -287,86 +262,23 @@ func (p *persister) commitBatch(batch []*commitReq) {
 	s.metrics.commitBatch.Observe(float64(len(batch)))
 	s.mu.Lock()
 	for i, r := range batch {
-		switch r.op {
-		case opAppend:
-			r.stats = s.applyAppendLocked(r.id, r.name, r.raws, r.annotated, r.annVer, r.ts)
-			s.appends.Add(1)
-		case opDelete:
-			if _, ok := s.items[r.id]; ok {
-				delete(s.items, r.id)
-				s.cache.PurgeItem(r.id)
-				r.existed = true
-			}
-		case opActivate:
-			s.setRuntimeLocked(r.rt)
-		}
-		p.noteLoggedLocked(firstSeq + uint64(i))
+		r.stats, r.applied = s.applyLocked(&r.change)
+		s.appliedSeq = firstSeq + uint64(i)
+		p.noteLoggedLocked()
 	}
 	s.mu.Unlock()
 }
 
-// commitAppend is the durable ingest path: no-op filter, off-lock
-// encode, group commit. Returns the post-apply item stats.
-func (p *persister) commitAppend(id, name string, ts time.Time, reviews []extract.RawReview, annotated []model.Review, annVer string) (ItemStats, error) {
-	s := p.s
-	// Appending nothing to an existing item without a rename is a
-	// no-op and must not reach the log. (A write that races this check
-	// and turns out to be a no-op at apply time still applies as a
-	// no-op — applyAppendLocked guards the generation — so the record
-	// is harmless, just one wasted log frame.)
-	s.mu.RLock()
-	if e, ok := s.items[id]; ok && len(annotated) == 0 && (name == "" || name == e.item.Name) {
-		st := e.stats()
-		s.mu.RUnlock()
-		return st, nil
-	}
-	s.mu.RUnlock()
-
-	req, err := newCommitReq(opAppend, id, name, ts, reviews, annotated, annVer)
+// commit is the durable write path: it stages c and returns what
+// applyLocked returned for it once a leader has made it durable and
+// applied it.
+func (p *persister) commit(c change) (ItemStats, bool, error) {
+	req, err := stage(c)
 	if err != nil {
-		return ItemStats{}, err
+		return ItemStats{}, false, err
 	}
 	err = p.q.commit(p, req)
-	stats := req.stats
+	stats, applied := req.stats, req.applied
 	req.release()
-	return stats, err
-}
-
-// commitActivate is the durable ontology-activation path: the entry
-// payload is logged (and synced) through the same group-commit queue
-// appends use, so WAL order equals apply order — an append staged
-// after an activation is annotated under the old runtime but applied
-// after the swap, which applyAppendLocked resolves by marking the item
-// mixed (it re-annotates lazily).
-func (p *persister) commitActivate(rt *ontoreg.Runtime) error {
-	req, err := newActivateReq(rt, time.Now())
-	if err != nil {
-		return err
-	}
-	err = p.q.commit(p, req)
-	req.release()
-	return err
-}
-
-// commitDelete is the durable delete path: existence filter, off-lock
-// encode, group commit. Reports whether the item existed at apply
-// time (so of two racing deletes exactly one reports true).
-func (p *persister) commitDelete(id string, ts time.Time) (bool, error) {
-	s := p.s
-	// Deleting a missing item is a no-op and must not reach the log.
-	s.mu.RLock()
-	_, ok := s.items[id]
-	s.mu.RUnlock()
-	if !ok {
-		return false, nil
-	}
-
-	req, err := newCommitReq(opDelete, id, "", ts, nil, nil, "")
-	if err != nil {
-		return false, err
-	}
-	err = p.q.commit(p, req)
-	existed := req.existed
-	req.release()
-	return existed, err
+	return stats, applied, err
 }

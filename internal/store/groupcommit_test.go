@@ -92,7 +92,7 @@ func TestGroupCommitKillPoints(t *testing.T) {
 		}}
 		rt := s.rt.Load()
 		annotated := rt.Pipeline.AnnotateReviews(reviews, 0)
-		req, err := newCommitReq(opAppend, id, "Item "+id, ts.Add(time.Duration(i)*time.Second), reviews, annotated, rt.Version)
+		req, err := stage(change{op: opAppend, id: id, name: "Item " + id, ts: ts.Add(time.Duration(i) * time.Second), raws: reviews, annotated: annotated, annVer: rt.Version})
 		if err != nil {
 			t.Fatal(err)
 		}

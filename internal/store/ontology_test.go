@@ -1,14 +1,19 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"osars/internal/dataset"
 	"osars/internal/extract"
 	"osars/internal/model"
 	"osars/internal/ontoreg"
+	"osars/internal/wal"
 )
 
 // phoneRuntime compiles a registry entry over the cell-phone ontology;
@@ -263,5 +268,119 @@ func TestReplicaRejectsLocalActivation(t *testing.T) {
 	defer s.Close()
 	if err := s.ActivateOntology(phoneRuntime(t, 0.9)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("replica local activation: err=%v, want ErrReadOnly", err)
+	}
+}
+
+// TestLegacySnapshotRawsReconstructed restores a snapshot written
+// before raw-review retention (no raws, no ann_ver, no active entry),
+// at boot and through InstallSnapshot. Every restored entry's raws
+// cover its reviews, reconstructed from its sentences, so an append and
+// then an ontology swap re-annotate the whole corpus: each summary
+// matches a cold solve of the reconstructed and appended raws under
+// the new runtime.
+func TestLegacySnapshotRawsReconstructed(t *testing.T) {
+	v1, v2 := phoneRuntime(t, 0.5), phoneRuntime(t, 0.9)
+	p := openDurable(t, Config{Runtime: v1, DataDir: t.TempDir()})
+	defer p.Close()
+	corpus := map[string][]extract.RawReview{"p1": gradedPhoneReviews(6), "p2": phoneReviews}
+	for _, id := range []string{"p1", "p2"} {
+		if _, err := p.AppendReviews(id, "Phone "+id, corpus[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	raw, seq, _, err := p.ReplSnapshotRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wal.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapFile
+	if err := decodeSnapshot(payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.ActiveEntry = nil
+	want := make(map[string][]extract.RawReview)
+	for i := range snap.Items {
+		it := &snap.Items[i]
+		it.Raws, it.AnnVer = nil, ""
+		want[it.ID] = reconstructRaws(it.Item.Reviews)
+	}
+	var legacy bytes.Buffer
+	if err := writeSnapshot(&legacy, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(legacy.Bytes(), []byte(`"raws"`)) {
+		t.Fatal("the legacy snapshot still holds raws")
+	}
+	more := gradedPhoneReviews(9)[6:]
+	want["p1"] = append(want["p1"], more...)
+
+	requireRawsCover := func(t *testing.T, s *Store, when string) {
+		t.Helper()
+		for _, id := range []string{"p1", "p2"} {
+			item, raws := entryView(s, id)
+			if len(raws) != len(item.Reviews) {
+				t.Fatalf("%s: %s holds %d raws for %d reviews", when, id, len(raws), len(item.Reviews))
+			}
+		}
+	}
+	for _, boot := range []bool{true, false} {
+		t.Run(fmt.Sprintf("boot=%v", boot), func(t *testing.T) {
+			var s *Store
+			// append and activate are the writes the test makes: live
+			// writes at boot, shipped records on the replica.
+			var appendMore, activate func() error
+			if boot {
+				dir := t.TempDir()
+				if _, err := wal.WriteSnapshot(dir, seq, legacy.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				s = openDurable(t, Config{Runtime: v1, DataDir: dir})
+				appendMore = func() error { _, err := s.AppendReviews("p1", "", more); return err }
+				activate = func() error { return s.ActivateOntology(v2) }
+			} else {
+				s = openDurable(t, Config{Runtime: v1, Replica: true})
+				if err := s.InstallSnapshot(seq, legacy.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				appendMore = func() error {
+					return s.ApplyReplicated(seq+1, encodeRecord(t, opAppend, "p1", "", loggedRaws(more)))
+				}
+				activate = func() error {
+					rec, err := json.Marshal(loggedRecord{Op: opActivate, TS: time.Now(), Entry: v2.Payload})
+					if err != nil {
+						return err
+					}
+					return s.ApplyReplicated(seq+2, rec)
+				}
+			}
+			defer s.Close()
+			requireRawsCover(t, s, "restored")
+			if err := appendMore(); err != nil {
+				t.Fatal(err)
+			}
+			requireRawsCover(t, s, "after an append")
+			if err := activate(); err != nil {
+				t.Fatal(err)
+			}
+			for id, raws := range want {
+				item := &model.Item{ID: id, Name: "Phone " + id, Reviews: v2.Pipeline.AnnotateReviews(raws, 0)}
+				for _, g := range []model.Granularity{model.GranularityPairs, model.GranularitySentences, model.GranularityReviews} {
+					for _, k := range []int{2, 3} {
+						sum, _, err := s.Summary(id, k, g, MethodGreedy)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameSummary(t, sum, coldSummary(v2, item, k, g), fmt.Sprintf("%s/%v/k=%d", id, g, k))
+					}
+				}
+			}
+			requireRawsCover(t, s, "after the swap")
+		})
 	}
 }

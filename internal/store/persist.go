@@ -1,14 +1,16 @@
 // Durability subsystem of the store: every state-changing operation
-// (append, delete) is serialized to a segmented CRC32C write-ahead log
-// before it is acknowledged, periodic snapshots serialize a consistent
-// view of the corpus, and a compaction step retires WAL segments fully
-// covered by the latest snapshot. Recovery is
-// latest-snapshot-then-replay: New loads the newest readable snapshot,
-// refuses a log that does not continue it, and replays the WAL suffix
-// through the exact same code path live ingestion uses, so a recovered
-// store is byte-identical to the pre-crash store for every
-// acknowledged write (including item generations and timestamps, which
-// are logged, not re-minted).
+// (append, delete, ontology activation) is serialized to a segmented
+// CRC32C write-ahead log before it is acknowledged, periodic snapshots
+// serialize a consistent view of the corpus, and a compaction step
+// retires WAL segments fully covered by the latest snapshot. Recovery
+// is latest-snapshot-then-replay: New loads the newest readable
+// snapshot (loadSnapshot, restoreLocked, which a replica's
+// InstallSnapshot shares), refuses a log that does not continue it, and
+// replays the WAL suffix record by record through decodeChange and
+// applyLocked, the apply live writes go through, so a recovered store
+// is byte-identical to the pre-crash store for every acknowledged
+// write (including item generations and timestamps, which are logged,
+// not re-minted).
 
 package store
 
@@ -93,23 +95,19 @@ const (
 	opActivate = "activate"
 )
 
-// walReview is one raw review inside a logged append. The RAW text is
-// logged (not the annotation): replay re-runs the deterministic
-// extraction pipeline, which keeps records small and lets a future
-// pipeline version re-annotate history.
-type walReview struct {
-	ID     string  `json:"id,omitempty"`
-	Text   string  `json:"text,omitempty"`
-	Rating float64 `json:"rating,omitempty"`
-}
-
-// walRecord is the JSON payload of one WAL record.
+// walRecord is the JSON payload of one WAL record, as decodeChange
+// reads it; appendWalRecord writes it.
 type walRecord struct {
-	Op      string      `json:"op"`
-	ID      string      `json:"id"`
-	Name    string      `json:"name,omitempty"`
-	TS      time.Time   `json:"ts"`
-	Reviews []walReview `json:"reviews,omitempty"`
+	Op   string    `json:"op"`
+	ID   string    `json:"id"`
+	Name string    `json:"name,omitempty"`
+	TS   time.Time `json:"ts"`
+	// Reviews are an append's RAW reviews, not their annotations: replay
+	// re-runs the deterministic extraction pipeline, which keeps records
+	// small and lets a future pipeline version re-annotate history.
+	// jsonWriter.raw writes each; Unmarshal matches its keys to
+	// RawReview's fields case-insensitively.
+	Reviews []extract.RawReview `json:"reviews,omitempty"`
 	// Entry is the canonical ontology entry payload of an opActivate
 	// record (ontoreg format, content-hash versioned).
 	Entry json.RawMessage `json:"entry,omitempty"`
@@ -118,8 +116,8 @@ type walRecord struct {
 // snapItem is one item inside a snapshot: the annotated corpus plus
 // the entry bookkeeping (generation, counters, timestamps). Raws and
 // AnnVer (ontology lifecycle state) are append-only additions — old
-// snapshots without them still load, with the raws reconstructed
-// lazily from the annotated corpus when first needed.
+// snapshots without them still load, with the raws reconstructed from
+// the annotated corpus as the item is restored (entryFromSnap).
 type snapItem struct {
 	ID           string      `json:"id"`
 	Gen          uint64      `json:"gen"`
@@ -129,8 +127,8 @@ type snapItem struct {
 	UpdatedAt    time.Time   `json:"updated_at"`
 	Item         *model.Item `json:"item"`
 	AnnVer       string      `json:"ann_ver,omitempty"`
-	// Raws are written in their logged form, as json.Marshal writes a
-	// []walReview, and read back as Unmarshal reads either type.
+	// Raws are written in their logged form, a WAL record's reviews
+	// (jsonWriter.raw), and read back as decodeRawReview.
 	Raws []extract.RawReview `json:"raws,omitempty"`
 }
 
@@ -308,7 +306,7 @@ const snapChunk = 256 << 10
 
 // writeSnapshot writes snap to w without reflection, as
 // json.Marshal(snap) writes it with each item's raws in their logged
-// form (walReview's), in chunks of about snapChunk bytes.
+// form (jsonWriter.raw), in chunks of about snapChunk bytes.
 // FuzzEncodeSnapshot and TestSnapshotWriterMatchesMarshal hold it to
 // Marshal's bytes, or an error wherever Marshal errors. Its field
 // writers, one per type, keep Marshal's rules: fields in struct order,
@@ -480,9 +478,10 @@ func (w *jsonWriter) rawJSON(b []byte, v json.RawMessage) []byte {
 	return append(b, out...)
 }
 
-// raw appends r as json.Marshal writes a walReview, every field of
-// which is omitempty: each present field is written after a comma, and
-// the first comma becomes the opening brace.
+// raw appends r in its logged form, as json.Marshal writes a struct of
+// r's fields tagged "id", "text" and "rating", each omitempty: each
+// present field is written after a comma, and the first comma becomes
+// the opening brace.
 func (w *jsonWriter) raw(b []byte, r *extract.RawReview) []byte {
 	start := len(b)
 	if r.ID != "" {
@@ -535,9 +534,8 @@ type persister struct {
 	interval      time.Duration
 	snapshotEvery int
 
-	// appliedSeq, sinceSnap and lastSnapSeq are guarded by s.mu (they
-	// are only written inside the store's critical sections).
-	appliedSeq  uint64
+	// sinceSnap and lastSnapSeq are guarded by s.mu (they are only
+	// written inside the store's critical sections).
 	sinceSnap   int
 	lastSnapSeq uint64
 
@@ -567,8 +565,11 @@ type persister struct {
 
 	snapshotsWritten atomic.Uint64
 	recovery         RecoveryStats
-	// bgErr records the most recent background fsync/snapshot failure.
-	bgErr atomic.Value // error
+	// syncErr is the last failed interval fsync. It stays reported: the
+	// records it covered may not be durable, and a later fsync that
+	// succeeds does not make them so. snapErr is the last snapshot's
+	// failure, cleared by the next snapshot that succeeds.
+	syncErr, snapErr atomic.Pointer[error]
 }
 
 // openPersistence restores state from cfg.DataDir into s and arms the
@@ -604,30 +605,11 @@ func openPersistence(s *Store, cfg Config) error {
 		return fmt.Errorf("store: load snapshot: %w", err)
 	}
 	if ok {
-		var snap snapFile
-		if err := decodeSnapshot(payload, &snap); err != nil {
-			return fmt.Errorf("store: decode snapshot: %w", err)
+		snap, rt, err := loadSnapshot(payload)
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
 		}
-		if snap.Schema != snapSchema {
-			return fmt.Errorf("store: unknown snapshot schema %q", snap.Schema)
-		}
-		// Restore the active ontology BEFORE the items: annVer defaults
-		// and the replay pipeline both key off it.
-		if len(snap.ActiveEntry) > 0 {
-			rt, err := runtimeFromEntry(snap.ActiveEntry)
-			if err != nil {
-				return fmt.Errorf("store: snapshot active ontology: %w", err)
-			}
-			s.rt.Store(rt)
-		}
-		s.activations.Store(snap.Activations)
-		ver := s.rt.Load().Version
-		for i := range snap.Items {
-			it := &snap.Items[i]
-			s.items[it.ID] = entryFromSnap(it, ver)
-		}
-		s.nextGen = snap.NextGen
-		s.appends.Store(snap.Appends)
+		s.restoreLocked(snap, rt)
 		p.recovery.SnapshotSeq = snapSeq
 		p.recovery.SnapshotItems = len(snap.Items)
 	}
@@ -665,20 +647,22 @@ func openPersistence(s *Store, cfg Config) error {
 		}
 	}
 
-	// 3. Replay the suffix through the live ingest path (minus
-	// logging — s.persist is still nil here, so nothing re-logs):
-	// annotation is deterministic and timestamps come from the
-	// record, so the rebuilt state matches the pre-crash store byte
-	// for byte.
+	// 3. Replay the suffix through applyLocked, as the live writes
+	// applied it (minus logging — s.persist is still nil here, so
+	// nothing re-logs): annotation is deterministic and timestamps come
+	// from the record, so the rebuilt state matches the pre-crash store
+	// byte for byte. An append is annotated under the runtime active AT
+	// THIS POINT of the log: activate records swap it mid-replay exactly
+	// as they did in live history.
 	replayed := 0
 	err = log.Replay(snapSeq, func(seq uint64, payload []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		c, err := s.decodeChange(payload)
+		if err != nil {
 			return fmt.Errorf("record %d: %w", seq, err)
 		}
-		if err := s.applyWalRecord(&rec); err != nil {
-			return fmt.Errorf("record %d: %w", seq, err)
-		}
+		s.mu.Lock()
+		s.applyLocked(&c)
+		s.mu.Unlock()
 		replayed++
 		return nil
 	})
@@ -687,11 +671,11 @@ func openPersistence(s *Store, cfg Config) error {
 		return fmt.Errorf("store: wal replay: %w", err)
 	}
 
-	p.appliedSeq = log.NextSeq() - 1
+	s.appliedSeq = log.NextSeq() - 1
 	p.lastSnapSeq = snapSeq
 	p.sinceSnap = replayed
 	p.recovery.ReplayedRecords = replayed
-	p.recovery.LastSeq = p.appliedSeq
+	p.recovery.LastSeq = s.appliedSeq
 	p.recovery.Items = len(s.items)
 	p.recovery.Duration = time.Since(start)
 	s.persist = p
@@ -701,34 +685,69 @@ func openPersistence(s *Store, cfg Config) error {
 	return nil
 }
 
-// applyWalRecord applies one replayed record. Deletes need no cache
-// work at boot (the cache starts empty), but the shared Delete path is
-// not used because replay must not re-log. The same record path runs
-// on read replicas via ApplyReplicated (replica.go). Appends annotate
-// under the runtime active AT THIS POINT of the log — activate records
-// swap it mid-replay exactly as they did in live history.
-func (s *Store) applyWalRecord(rec *walRecord) error {
-	var raws []extract.RawReview
-	var annotated []model.Review
-	var annVer string
-	var actRT *ontoreg.Runtime
+// decodeChange decodes a logged record into the change it logged, and
+// does the expensive part off-lock, as a live write does: an append's
+// reviews are annotated under the active runtime, an activation's
+// entry is compiled. WAL replay and ApplyReplicated both read every
+// record through it and apply it through applyLocked.
+func (s *Store) decodeChange(payload []byte) (change, error) {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return change{}, err
+	}
+	c := change{op: rec.Op, id: rec.ID, name: rec.Name, ts: rec.TS, raws: rec.Reviews}
 	switch rec.Op {
 	case opAppend:
 		rt := s.rt.Load()
-		raws = rawReviews(rec.Reviews)
-		annotated = rt.Pipeline.AnnotateReviews(raws, 0)
-		annVer = rt.Version
+		c.annotated = rt.Pipeline.AnnotateReviews(c.raws, 0)
+		c.annVer = rt.Version
 	case opActivate:
 		rt, err := runtimeFromEntry(rec.Entry)
 		if err != nil {
-			return err
+			return change{}, err
 		}
-		actRT = rt
+		c.rt = rt
 	}
-	s.mu.Lock()
-	s.applyRecordLocked(rec, raws, annotated, annVer, actRT)
-	s.mu.Unlock()
-	return nil
+	return c, nil
+}
+
+// loadSnapshot decodes a snapshot payload, checks its schema and
+// compiles its active ontology entry (rt is nil when it has none), so a
+// snapshot that cannot be restored is refused before anything changes.
+func loadSnapshot(payload []byte) (snap *snapFile, rt *ontoreg.Runtime, err error) {
+	snap = new(snapFile)
+	if err := decodeSnapshot(payload, snap); err != nil {
+		return nil, nil, fmt.Errorf("decode snapshot: %w", err)
+	}
+	if snap.Schema != snapSchema {
+		return nil, nil, fmt.Errorf("unknown snapshot schema %q", snap.Schema)
+	}
+	if len(snap.ActiveEntry) > 0 {
+		if rt, err = runtimeFromEntry(snap.ActiveEntry); err != nil {
+			return nil, nil, fmt.Errorf("snapshot active ontology: %w", err)
+		}
+	}
+	return snap, rt, nil
+}
+
+// restoreLocked replaces the store's corpus, counters and, when rt is
+// not nil, active runtime with a loaded snapshot's. The runtime is
+// restored BEFORE the items: annVer defaults, and the annotation of
+// the records replayed or shipped after the snapshot, key off it.
+// Caller holds s.mu, or owns s.
+func (s *Store) restoreLocked(snap *snapFile, rt *ontoreg.Runtime) {
+	if rt != nil {
+		s.rt.Store(rt)
+	}
+	s.activations.Store(snap.Activations)
+	ver := s.rt.Load().Version
+	s.items = make(map[string]*entry, len(snap.Items))
+	for i := range snap.Items {
+		s.items[snap.Items[i].ID] = entryFromSnap(&snap.Items[i], ver)
+	}
+	s.nextGen = snap.NextGen
+	s.appends.Store(snap.Appends)
+	s.cache.PurgeAll()
 }
 
 // runtimeFromEntry decodes a canonical ontology entry payload (from an
@@ -746,7 +765,9 @@ func runtimeFromEntry(data []byte) (*ontoreg.Runtime, error) {
 // the restored active runtime's version, assumed for items from old
 // snapshots that predate per-item annotation versions (those snapshots
 // also predate activation records, so the config runtime that wrote
-// them is the one restoring them).
+// them is the one restoring them). An item from a snapshot that
+// predates raw-review retention gets its raws reconstructed here, so
+// every entry's raws cover its reviews.
 func entryFromSnap(it *snapItem, ver string) *entry {
 	e := &entry{
 		item:         it.Item,
@@ -764,6 +785,9 @@ func entryFromSnap(it *snapItem, ver string) *entry {
 		e.raws = it.Raws
 	}
 	if it.Item != nil {
+		if e.raws == nil {
+			e.raws = reconstructRaws(it.Item.Reviews)
+		}
 		shareSentenceTexts(it.Item.Reviews, e.raws)
 		e.publish(it.Item.ID, it.Item.Name, it.Item.Reviews)
 	}
@@ -795,11 +819,9 @@ func shareSentenceTexts(reviews []model.Review, raws []extract.RawReview) {
 	}
 }
 
-// noteLoggedLocked advances the applied position and drives the
-// snapshot cadence after a record reached the log (group commit or
-// replica apply). Caller holds s.mu.
-func (p *persister) noteLoggedLocked(seq uint64) {
-	p.appliedSeq = seq
+// noteLoggedLocked drives the snapshot cadence after a record reached
+// the log (group commit or replica apply). Caller holds s.mu.
+func (p *persister) noteLoggedLocked() {
 	p.sinceSnap++
 	if p.snapshotEvery > 0 && p.sinceSnap >= p.snapshotEvery {
 		p.sinceSnap = 0
@@ -826,30 +848,41 @@ func (p *persister) run() {
 			return
 		case <-tick:
 			if err := p.log.Sync(); err != nil {
-				p.bgErr.Store(err)
+				p.syncErr.Store(&err)
 			}
 		case <-p.snapCh:
-			if err := p.snapshot(); err != nil {
-				p.bgErr.Store(err)
-			}
+			p.snapshot()
 		}
 	}
 }
 
-// snapshot serializes a consistent view of the store, writes it
+// snapshot writes a snapshot (snapshotLocked) and keeps its
+// failure for PersistErr until a snapshot succeeds, background or
+// forced.
+func (p *persister) snapshot() error {
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	err := p.snapshotLocked()
+	if err != nil {
+		p.snapErr.Store(&err)
+	} else {
+		p.snapErr.Store(nil)
+	}
+	return err
+}
+
+// snapshotLocked serializes a consistent view of the store, writes it
 // atomically, and compacts the WAL past it. Item values are immutable
 // (AppendReviews publishes fresh *model.Item values over slots no
 // later append writes), so the lock is held only long enough to copy
 // pointers and counters — the expensive JSON encode runs concurrently
-// with live traffic.
-func (p *persister) snapshot() error {
-	p.snapMu.Lock()
-	defer p.snapMu.Unlock()
+// with live traffic. Caller holds snapMu.
+func (p *persister) snapshotLocked() error {
 	s := p.s
 	snapStart := time.Now()
 
 	s.mu.RLock()
-	seq := p.appliedSeq
+	seq := s.appliedSeq
 	if seq == p.lastSnapSeq {
 		s.mu.RUnlock()
 		return nil // nothing new since the last snapshot
@@ -940,15 +973,19 @@ func (s *Store) Recovery() (RecoveryStats, bool) {
 	return s.persist.recovery, true
 }
 
-// PersistErr returns the most recent background fsync/snapshot
-// failure, if any. Foreground failures surface on AppendReviews and
-// Delete directly.
+// PersistErr returns the last failed background fsync, which stays
+// reported (the records it covered may not be durable), or else the
+// last snapshot's failure until a snapshot succeeds. Write failures
+// surface on AppendReviews and Delete directly.
 func (s *Store) PersistErr() error {
 	if s.persist == nil {
 		return nil
 	}
-	if err, ok := s.persist.bgErr.Load().(error); ok {
-		return err
+	if err := s.persist.syncErr.Load(); err != nil {
+		return *err
+	}
+	if err := s.persist.snapErr.Load(); err != nil {
+		return *err
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"osars/internal/extract"
 	"osars/internal/model"
+	"osars/internal/ontoreg"
 )
 
 // durableConfig returns a durable test config rooted at dir.
@@ -410,6 +411,68 @@ func TestSnapshotWriteFailureKeepsLog(t *testing.T) {
 	}
 }
 
+// TestSnapshotSuccessClearsPersistErr: a snapshot that succeeds,
+// background or forced, clears the failure an earlier snapshot left in
+// PersistErr, while a failed interval fsync stays reported.
+func TestSnapshotSuccessClearsPersistErr(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	cfg.SnapshotEvery = -1
+	s := openDurable(t, cfg)
+	defer s.Close()
+	waitPersistErr := func(want func(error) bool, what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !want(s.PersistErr()) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if err := s.PersistErr(); !want(err) {
+			t.Fatalf("%s: PersistErr = %v", what, err)
+		}
+	}
+	isENOSPC := func(err error) bool { return errors.Is(err, syscall.ENOSPC) }
+	isNil := func(err error) bool { return err == nil }
+	shortWrite := func(w io.Writer) io.Writer { return &failAfter{w: w, n: 100} }
+
+	if _, err := s.AppendReviews("p1", "Acme", phoneReviews); err != nil {
+		t.Fatal(err)
+	}
+	s.persist.testSnapshotWriter = shortWrite
+	s.persist.snapCh <- struct{}{} // the cadence's trigger
+	waitPersistErr(isENOSPC, "failed background snapshot")
+	s.persist.testSnapshotWriter = nil
+	s.persist.snapCh <- struct{}{}
+	waitPersistErr(isNil, "background snapshot after the fault is removed")
+	if n := s.persist.snapshotsWritten.Load(); n != 1 {
+		t.Fatalf("snapshots written = %d, want 1", n)
+	}
+
+	if _, err := s.AppendReviews("p2", "Bolt", phoneReviews); err != nil {
+		t.Fatal(err)
+	}
+	s.persist.testSnapshotWriter = shortWrite
+	if err := s.Snapshot(); !isENOSPC(err) {
+		t.Fatalf("forced snapshot with the fault = %v", err)
+	}
+	waitPersistErr(isENOSPC, "failed forced snapshot")
+	s.persist.testSnapshotWriter = nil
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	waitPersistErr(isNil, "forced snapshot after the fault is removed")
+
+	syncErr := errors.New("wal sync: input/output error")
+	s.persist.syncErr.Store(&syncErr)
+	if _, err := s.AppendReviews("p3", "Cell", phoneReviews); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PersistErr(); err != syncErr {
+		t.Fatalf("PersistErr after a failed fsync and a snapshot that succeeds = %v, want %v", err, syncErr)
+	}
+}
+
 // listDir returns the names of dir's files, sorted.
 func listDir(t *testing.T, dir string) []string {
 	t.Helper()
@@ -546,14 +609,36 @@ func TestDurableDeleteNeverServedAfterRecovery(t *testing.T) {
 	}
 }
 
+// walReview is a raw review in its logged form: json.Marshal of a
+// loggedRecord, and of a snapshot with its raws in this form
+// (marshalSnapshot), is the reference appendWalRecord and writeSnapshot
+// write.
+type walReview struct {
+	ID     string  `json:"id,omitempty"`
+	Text   string  `json:"text,omitempty"`
+	Rating float64 `json:"rating,omitempty"`
+}
+
+// loggedRecord is a walRecord with its reviews in their logged form.
+type loggedRecord struct {
+	Op      string          `json:"op"`
+	ID      string          `json:"id"`
+	Name    string          `json:"name,omitempty"`
+	TS      time.Time       `json:"ts"`
+	Reviews []walReview     `json:"reviews,omitempty"`
+	Entry   json.RawMessage `json:"entry,omitempty"`
+}
+
 // TestWalRecordRoundTrip pins the WAL record JSON: ratings and
 // timestamps must survive encode/decode exactly, or replayed state
 // would drift from the acknowledged state. appendWalRecord writes the
-// bytes json.Encoder writes for the same walRecord, without its
-// newline, and refuses what Marshal refuses.
+// bytes json.Encoder writes for the same loggedRecord, without its
+// newline, refuses what Marshal refuses, and decodeChange reads the
+// change back.
 func TestWalRecordRoundTrip(t *testing.T) {
+	s := testStore(t)
 	ts := time.Date(2026, 8, 6, 12, 34, 56, 789012345, time.UTC)
-	in := walRecord{Op: opAppend, ID: "p1", Name: "Acme", TS: ts, Reviews: []walReview{
+	in := loggedRecord{Op: opAppend, ID: "p1", Name: "Acme", TS: ts, Reviews: []walReview{
 		{ID: "r1", Text: "The screen is excellent.", Rating: 0.30000000000000004},
 		{ID: "r2", Text: "unicode \u00e9 \u2713", Rating: -1},
 	}}
@@ -561,15 +646,15 @@ func TestWalRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out walRecord
-	if err := json.Unmarshal(data, &out); err != nil {
+	out, err := s.decodeChange(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("wal record round trip:\nin:  %+v\nout: %+v", in, out)
+	if got := (loggedRecord{Op: out.op, ID: out.id, Name: out.name, TS: out.ts, Reviews: loggedRaws(out.raws)}); !reflect.DeepEqual(in, got) {
+		t.Fatalf("wal record round trip:\nin:  %+v\nout: %+v", in, got)
 	}
 
-	for _, rec := range []walRecord{
+	for _, rec := range []loggedRecord{
 		in,
 		{Op: opAppend, ID: "p<2>&", TS: ts.In(time.FixedZone("", -7*3600)), Reviews: []walReview{
 			{ID: "q\"1", Text: "The \"screen\" <b>&</b>.\nThe battery\u2028 is awful\\.\t\x01", Rating: 1e-7},
@@ -587,19 +672,31 @@ func TestWalRecordRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := bytes.TrimSuffix(enc.Bytes(), []byte("\n"))
-		var raws []extract.RawReview
-		if rec.Reviews != nil {
-			raws = rawReviews(rec.Reviews)
+		c := change{op: rec.Op, id: rec.ID, name: rec.Name, ts: rec.TS}
+		for _, r := range rec.Reviews {
+			c.raws = append(c.raws, extract.RawReview(r))
 		}
-		got, err := appendWalRecord([]byte("x"), rec.Op, rec.ID, rec.Name, rec.TS, raws, rec.Entry)
+		if rec.Entry != nil {
+			c.rt = &ontoreg.Runtime{Payload: rec.Entry}
+		}
+		got, err := appendWalRecord([]byte("x"), &c)
 		if err != nil || !bytes.Equal(got[1:], want) || got[0] != 'x' {
 			t.Fatalf("appendWalRecord = %s (err %v)\nwant %s", got[1:], err, want)
 		}
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
-		_, want := json.Marshal(walRecord{Reviews: []walReview{{Rating: bad}}})
-		if _, err := appendWalRecord(nil, opAppend, "p", "", ts, []extract.RawReview{{Rating: bad}}, nil); err == nil || want == nil {
+		_, want := json.Marshal(loggedRecord{Reviews: []walReview{{Rating: bad}}})
+		if _, err := appendWalRecord(nil, &change{op: opAppend, id: "p", ts: ts, raws: []extract.RawReview{{Rating: bad}}}); err == nil || want == nil {
 			t.Fatalf("rating %v: appendWalRecord error %v, json.Marshal error %v", bad, err, want)
 		}
 	}
+}
+
+// loggedRaws returns raws in their logged form.
+func loggedRaws(raws []extract.RawReview) []walReview {
+	var out []walReview
+	for _, r := range raws {
+		out = append(out, walReview(r))
+	}
+	return out
 }

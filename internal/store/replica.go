@@ -1,14 +1,19 @@
 // Replica apply mode: the store-side half of read-replica replication
 // (internal/repl). A store opened with Config.Replica = true rejects
-// local writes (AppendReviews/Delete return ErrReadOnly) and instead
-// applies WAL records shipped from a primary via ApplyReplicated —
-// each record re-runs the exact same applyWalRecord path recovery
-// uses, so generations, timestamps and counters advance identically to
-// the primary's without the replica minting any state of its own. A
-// durable replica additionally appends every shipped record to its own
-// local WAL (preserving the primary's sequence numbers byte for byte)
-// before applying it, so a replica restart resumes tailing from its
-// last locally durable sequence instead of re-syncing from scratch.
+// local writes (AppendReviews/Delete/ActivateOntology return
+// ErrReadOnly) and instead applies WAL records shipped from a primary
+// via ApplyReplicated — each record is read by decodeChange and applied
+// by applyLocked, as recovery replays it and as the primary's live
+// write applied it, so generations, timestamps and counters advance
+// identically to the primary's without the replica minting any state
+// of its own. A durable replica additionally appends every shipped
+// record to its own local WAL (preserving the primary's sequence
+// numbers byte for byte) before applying it, so a replica restart
+// resumes tailing from its last locally durable sequence instead of
+// re-syncing from scratch. A shipped snapshot (InstallSnapshot) is
+// loaded and restored by the code that restores one at boot
+// (loadSnapshot, restoreLocked), and is checked in full before
+// anything changes.
 //
 // The primary-side accessors (ReplTail, ReplNotify, ReplStatus,
 // ReplSnapshotRaw) expose the WAL and snapshot machinery replication
@@ -18,13 +23,9 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
-	"osars/internal/extract"
-	"osars/internal/model"
-	"osars/internal/ontoreg"
 	"osars/internal/wal"
 )
 
@@ -63,10 +64,7 @@ func (s *Store) Replica() bool { return s.replica }
 func (s *Store) AppliedSeq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.persist != nil {
-		return s.persist.appliedSeq
-	}
-	return s.replApplied
+	return s.appliedSeq
 }
 
 // ApplyReplicated applies one WAL record shipped from the primary. seq
@@ -80,74 +78,36 @@ func (s *Store) ApplyReplicated(seq uint64, payload []byte) error {
 	if !s.replica {
 		return errors.New("store: ApplyReplicated on a non-replica store")
 	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("store: replicated record %d: %w", seq, err)
-	}
 	// Annotation (and activate-entry compilation) is the expensive
-	// part; run it outside the lock, like the live ingest path does.
-	var raws []extract.RawReview
-	var annotated []model.Review
-	var annVer string
-	var actRT *ontoreg.Runtime
-	switch rec.Op {
-	case opAppend:
-		rt := s.rt.Load()
-		raws = rawReviews(rec.Reviews)
-		annotated = rt.Pipeline.AnnotateReviews(raws, 0)
-		annVer = rt.Version
-	case opActivate:
-		rt, err := runtimeFromEntry(rec.Entry)
-		if err != nil {
-			return fmt.Errorf("store: replicated record %d: %w", seq, err)
-		}
-		actRT = rt
+	// part; decodeChange runs it outside the lock, like a live write.
+	c, err := s.decodeChange(payload)
+	if err != nil {
+		return fmt.Errorf("store: replicated record %d: %w", seq, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want := s.replApplied + 1
-	if s.persist != nil {
-		want = s.persist.appliedSeq + 1
-	}
-	if seq != want {
+	if want := s.appliedSeq + 1; seq != want {
 		return fmt.Errorf("store: replication gap: got seq %d, want %d", seq, want)
 	}
-	if s.persist != nil {
-		got, err := s.persist.log.Append(payload)
+	if p := s.persist; p != nil {
+		got, err := p.log.Append(payload)
 		if err != nil {
 			return fmt.Errorf("store: replica wal append: %w", err)
 		}
 		if got != seq {
 			return fmt.Errorf("store: replica wal minted seq %d for shipped seq %d", got, seq)
 		}
-		if s.persist.policy == FsyncAlways {
-			if err := s.persist.log.Sync(); err != nil {
+		if p.policy == FsyncAlways {
+			if err := p.log.Sync(); err != nil {
 				return fmt.Errorf("store: replica wal sync: %w", err)
 			}
 		}
-		s.persist.noteLoggedLocked(seq)
-	} else {
-		s.replApplied = seq
+		p.noteLoggedLocked()
 	}
-	s.applyRecordLocked(&rec, raws, annotated, annVer, actRT)
+	s.appliedSeq = seq
+	s.applyLocked(&c)
 	return nil
-}
-
-// applyRecordLocked applies one decoded WAL record under s.mu, with
-// annotation (and activate-runtime compilation) already done. Shared
-// by ApplyReplicated and (via applyWalRecord) boot-time replay.
-func (s *Store) applyRecordLocked(rec *walRecord, raws []extract.RawReview, annotated []model.Review, annVer string, actRT *ontoreg.Runtime) {
-	switch rec.Op {
-	case opAppend:
-		s.applyAppendLocked(rec.ID, rec.Name, raws, annotated, annVer, rec.TS)
-		s.appends.Add(1)
-	case opDelete:
-		delete(s.items, rec.ID)
-		s.cache.PurgeItem(rec.ID)
-	case opActivate:
-		s.setRuntimeLocked(actRT)
-	}
 }
 
 // InstallSnapshot replaces the replica's entire state with a snapshot
@@ -163,12 +123,11 @@ func (s *Store) InstallSnapshot(seq uint64, payload []byte) error {
 	if !s.replica {
 		return errors.New("store: InstallSnapshot on a non-replica store")
 	}
-	var snap snapFile
-	if err := decodeSnapshot(payload, &snap); err != nil {
-		return fmt.Errorf("store: decode shipped snapshot: %w", err)
-	}
-	if snap.Schema != snapSchema {
-		return fmt.Errorf("store: shipped snapshot has unknown schema %q", snap.Schema)
+	// Loading compiles the snapshot's active entry too, so a snapshot
+	// that cannot be restored is refused before anything changes.
+	snap, rt, err := loadSnapshot(payload)
+	if err != nil {
+		return fmt.Errorf("store: shipped snapshot: %w", err)
 	}
 	if snap.LastSeq != seq {
 		return fmt.Errorf("store: shipped snapshot covers seq %d, advertised as %d", snap.LastSeq, seq)
@@ -176,47 +135,24 @@ func (s *Store) InstallSnapshot(seq uint64, payload []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	applied := s.replApplied
-	if s.persist != nil {
-		applied = s.persist.appliedSeq
-	}
-	if applied >= seq {
+	if s.appliedSeq >= seq {
 		return nil
 	}
-	if s.persist != nil {
-		if _, err := wal.WriteSnapshot(s.persist.dir, seq, payload); err != nil {
+	if p := s.persist; p != nil {
+		if _, err := wal.WriteSnapshot(p.dir, seq, payload); err != nil {
 			return fmt.Errorf("store: persist shipped snapshot: %w", err)
 		}
-		if err := s.persist.log.SkipTo(seq + 1); err != nil {
+		if err := p.log.SkipTo(seq + 1); err != nil {
 			return fmt.Errorf("store: reset replica wal: %w", err)
 		}
-		if _, err := wal.PruneSnapshots(s.persist.dir, snapshotsToKeep); err != nil {
+		if _, err := wal.PruneSnapshots(p.dir, snapshotsToKeep); err != nil {
 			return fmt.Errorf("store: prune replica snapshots: %w", err)
 		}
-		s.persist.appliedSeq = seq
-		s.persist.lastSnapSeq = seq
-		s.persist.sinceSnap = 0
-	} else {
-		s.replApplied = seq
+		p.lastSnapSeq = seq
+		p.sinceSnap = 0
 	}
-	// Adopt the primary's active ontology before the items, so annVer
-	// defaults line up (old-format snapshots carry neither).
-	if len(snap.ActiveEntry) > 0 {
-		rt, err := runtimeFromEntry(snap.ActiveEntry)
-		if err != nil {
-			return fmt.Errorf("store: shipped snapshot active ontology: %w", err)
-		}
-		s.rt.Store(rt)
-	}
-	s.activations.Store(snap.Activations)
-	ver := s.rt.Load().Version
-	s.items = make(map[string]*entry, len(snap.Items))
-	for i := range snap.Items {
-		s.items[snap.Items[i].ID] = entryFromSnap(&snap.Items[i], ver)
-	}
-	s.nextGen = snap.NextGen
-	s.appends.Store(snap.Appends)
-	s.cache.PurgeAll()
+	s.appliedSeq = seq
+	s.restoreLocked(snap, rt)
 	return nil
 }
 
@@ -263,13 +199,4 @@ func (s *Store) ReplSnapshotRaw() (raw []byte, seq uint64, ok bool, err error) {
 		return nil, 0, false, ErrNotDurable
 	}
 	return wal.LoadLatestSnapshotRaw(s.persist.dir)
-}
-
-// rawReviews converts logged reviews back to pipeline input.
-func rawReviews(in []walReview) []extract.RawReview {
-	raws := make([]extract.RawReview, len(in))
-	for i, r := range in {
-		raws[i] = extract.RawReview{ID: r.ID, Text: r.Text, Rating: r.Rating}
-	}
-	return raws
 }

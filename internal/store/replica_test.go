@@ -1,8 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,10 +23,10 @@ func replicaConfig(dir string) Config {
 }
 
 // encodeRecord builds the WAL payload a primary would log for an
-// append, using the same walRecord schema.
+// append or a delete, as json.Marshal writes its loggedRecord.
 func encodeRecord(t *testing.T, op, id, name string, reviews []walReview) []byte {
 	t.Helper()
-	data, err := json.Marshal(walRecord{
+	data, err := json.Marshal(loggedRecord{
 		Op: op, ID: id, Name: name,
 		TS:      time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
 		Reviews: reviews,
@@ -238,4 +244,103 @@ func TestReplStatusRequiresDurability(t *testing.T) {
 	if _, _, _, err := s.ReplSnapshotRaw(); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("ReplSnapshotRaw in memory = %v", err)
 	}
+}
+
+// TestInstallSnapshotAllOrNothing: a shipped snapshot whose active
+// ontology entry does not compile is refused before anything changes.
+// An in-memory and a durable replica each keep their applied sequence,
+// items and data directory, and the durable one reopens.
+func TestInstallSnapshotAllOrNothing(t *testing.T) {
+	p := openDurable(t, durableConfig(t.TempDir()))
+	defer p.Close()
+	for _, id := range []string{"p1", "p2"} {
+		if _, err := p.AppendReviews(id, "Phone", phoneReviews); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	raw, seq, ok, err := p.ReplSnapshotRaw()
+	if err != nil || !ok || seq != 2 {
+		t.Fatalf("primary snapshot: seq=%d ok=%v err=%v", seq, ok, err)
+	}
+	payload, err := wal.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapFile
+	if err := decodeSnapshot(payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.ActiveEntry = json.RawMessage(`{"schema":"not-an-ontology-entry"}`)
+	var bad bytes.Buffer
+	if err := writeSnapshot(&bad, &snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Replica = true
+			if durable {
+				cfg.DataDir = t.TempDir()
+			}
+			r := openDurable(t, cfg)
+			defer r.Close()
+			rec := encodeRecord(t, opAppend, "r1", "Replica", []walReview{{ID: "x", Text: phoneReviews[0].Text}})
+			if err := r.ApplyReplicated(1, rec); err != nil {
+				t.Fatal(err)
+			}
+			before := observe(t, r)
+			var files map[string][]byte
+			if durable {
+				files = readDir(t, cfg.DataDir)
+			}
+
+			if err := r.InstallSnapshot(seq, bad.Bytes()); err == nil || !strings.Contains(err.Error(), "snapshot active ontology") {
+				t.Fatalf("InstallSnapshot of an uncompilable active entry = %v", err)
+			}
+			if got := r.AppliedSeq(); got != 1 {
+				t.Fatalf("AppliedSeq after a refused install = %d, want 1", got)
+			}
+			if got := observe(t, r); got != before {
+				t.Fatalf("a refused install changed the items:\nbefore: %s\nafter:  %s", before, got)
+			}
+			if !durable {
+				return
+			}
+			if got := readDir(t, cfg.DataDir); !reflect.DeepEqual(got, files) {
+				t.Fatal("a refused install changed the data directory")
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r2, err := New(cfg)
+			if err != nil {
+				t.Fatalf("reopen after a refused install: %v", err)
+			}
+			defer r2.Close()
+			if got := r2.AppliedSeq(); got != 1 {
+				t.Fatalf("AppliedSeq after reopen = %d, want 1", got)
+			}
+			if got := observe(t, r2); got != before {
+				t.Fatalf("reopen after a refused install:\ngot:  %s\nwant: %s", got, before)
+			}
+		})
+	}
+}
+
+// readDir returns the name and contents of every file in dir.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	for _, name := range listDir(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = data
+	}
+	return files
 }

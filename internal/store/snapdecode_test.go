@@ -224,9 +224,7 @@ func marshalSnapshot(snap *snapFile) ([]byte, error) {
 	}
 	for i, it := range snap.Items {
 		logged.Items[i].snapItem = it
-		for _, r := range it.Raws {
-			logged.Items[i].Raws = append(logged.Items[i].Raws, walReview(r))
-		}
+		logged.Items[i].Raws = loggedRaws(it.Raws)
 	}
 	return json.Marshal(&logged)
 }
@@ -489,7 +487,7 @@ func marshalStore(t *testing.T, s *Store) []byte {
 	s.mu.RLock()
 	snap := snapFile{
 		Schema:      snapSchema,
-		LastSeq:     s.persist.appliedSeq,
+		LastSeq:     s.appliedSeq,
 		NextGen:     s.nextGen,
 		Appends:     s.appends.Load(),
 		ActiveEntry: s.rt.Load().Payload,

@@ -145,11 +145,13 @@ type Store struct {
 	rt   atomic.Pointer[ontoreg.Runtime]
 	seed int64
 
-	// replica marks a read-only replica (Config.Replica); replApplied
-	// tracks the last shipped sequence applied by an IN-MEMORY replica
-	// (durable replicas use persist.appliedSeq). Guarded by mu.
-	replica     bool
-	replApplied uint64
+	// replica marks a read-only replica (Config.Replica). appliedSeq is
+	// the WAL sequence number of the newest applied record: the log
+	// position on a durable store, the last shipped record on an
+	// in-memory replica, and 0 on an in-memory primary, which logs
+	// nothing. Guarded by mu.
+	replica    bool
+	appliedSeq uint64
 
 	mu      sync.RWMutex
 	items   map[string]*entry
@@ -365,33 +367,76 @@ func (s *Store) AppendReviews(id, name string, reviews []extract.RawReview) (Ite
 	// one that produced them.
 	rt := s.rt.Load()
 	annotated := rt.Pipeline.AnnotateReviews(reviews, 0)
-
-	if s.persist != nil {
-		stats, err := s.persist.commitAppend(id, name, now, reviews, annotated, rt.Version)
-		if err != nil {
-			return ItemStats{}, fmt.Errorf("store: wal append: %w", err)
-		}
-		// Index maintenance runs on the appending writer's thread after
-		// the commit leader released s.mu — off the critical section,
-		// like annotation.
-		s.updateIndexes(id, rt.Version)
-		s.metrics.appendSeconds.ObserveSince(now)
+	stats, applied, err := s.write(change{op: opAppend, id: id, name: name, ts: now, raws: reviews, annotated: annotated, annVer: rt.Version})
+	if err != nil {
+		return ItemStats{}, fmt.Errorf("store: wal append: %w", err)
+	}
+	if !applied {
 		return stats, nil
 	}
-	s.mu.Lock()
-	// Appending nothing to an existing item without a rename is a
-	// no-op on the generation.
-	if e, ok := s.items[id]; ok && len(annotated) == 0 && (name == "" || name == e.item.Name) {
-		st := e.stats()
-		s.mu.Unlock()
-		return st, nil
-	}
-	stats := s.applyAppendLocked(id, name, reviews, annotated, rt.Version, now)
-	s.appends.Add(1)
-	s.mu.Unlock()
+	// Index maintenance runs on the appending writer's thread after the
+	// apply released s.mu — off the critical section, like annotation.
 	s.updateIndexes(id, rt.Version)
 	s.metrics.appendSeconds.ObserveSince(now)
 	return stats, nil
+}
+
+// change is one append, delete or ontology activation: what a live
+// write logs, and what a logged record decodes back to (decodeChange).
+type change struct {
+	op   string
+	id   string
+	name string
+	ts   time.Time // the write's wall-clock time, logged with it
+	// raws, annotated and annVer are an append's raw reviews, their
+	// annotations and the runtime version that produced them.
+	raws      []extract.RawReview
+	annotated []model.Review
+	annVer    string
+	rt        *ontoreg.Runtime // the runtime an activation activates
+}
+
+// write makes a live write: on a durable store through the group
+// commit (commit.go), which logs c before it applies, and in memory
+// straight through applyLocked. A write that would change nothing — an
+// append that adds no reviews to an existing item and does not rename
+// it, or a delete of a missing item — is skipped: it is not logged, and
+// applied is false. Otherwise write returns what applyLocked returned.
+func (s *Store) write(c change) (stats ItemStats, applied bool, err error) {
+	if s.persist != nil {
+		s.mu.RLock()
+		stats, skip := s.skipLocked(&c)
+		s.mu.RUnlock()
+		if skip {
+			return stats, false, nil
+		}
+		// A write that races this check and turns out to change nothing
+		// still applies as a no-op (applyLocked guards the generation):
+		// one wasted log frame.
+		return s.persist.commit(c)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if stats, skip := s.skipLocked(&c); skip {
+		return stats, false, nil
+	}
+	stats, applied = s.applyLocked(&c)
+	return stats, applied, nil
+}
+
+// skipLocked reports whether write skips c, with the item's stats for a
+// skipped append. Caller holds s.mu.
+func (s *Store) skipLocked(c *change) (ItemStats, bool) {
+	switch c.op {
+	case opAppend:
+		if e, ok := s.items[c.id]; ok && len(c.annotated) == 0 && (c.name == "" || c.name == e.item.Name) {
+			return e.stats(), true
+		}
+	case opDelete:
+		_, ok := s.items[c.id]
+		return ItemStats{}, !ok
+	}
+	return ItemStats{}, false
 }
 
 // updateIndexes advances the item's live incremental coverage indexes
@@ -427,79 +472,86 @@ func (s *Store) updateIndexes(id, ver string) {
 	}
 }
 
-// applyAppendLocked merges annotated reviews into the item (creating
-// it if needed) under s.mu. It is shared by the live ingest path and
-// WAL replay; now is the logged wall-clock time so a recovered store
-// reproduces the original timestamps. raws are the un-annotated
-// originals (retained for lazy re-annotation after an ontology swap)
-// and annVer is the runtime version that produced the annotations.
-func (s *Store) applyAppendLocked(id, name string, raws []extract.RawReview, annotated []model.Review, annVer string, now time.Time) ItemStats {
-	newSentences, newPairs := 0, 0
-	for i := range annotated {
-		newSentences += len(annotated[i].Sentences)
-		for si := range annotated[i].Sentences {
-			newPairs += len(annotated[i].Sentences[si].Pairs)
-		}
-	}
-	e, existed := s.items[id]
-	if !existed {
-		s.nextGen++
-		e = &entry{
-			item:      &model.Item{ID: id, Name: name},
-			gen:       s.nextGen,
-			annVer:    annVer,
-			createdAt: now,
-			updatedAt: now,
-		}
-		s.items[id] = e
-	}
-	renamed := name != "" && name != e.item.Name
-	if existed && len(annotated) == 0 && !renamed {
-		return e.stats()
-	}
-	if existed || len(annotated) > 0 {
-		if !renamed {
-			name = e.item.Name
-		}
-		if e.reviews == nil {
-			// A corpus that went through here is never nil, so a
-			// snapshot writes it as [] rather than null.
-			e.reviews = make([]model.Review, 0, len(annotated))
-		}
-		// O(new reviews): the old ones stay where they are.
-		e.publish(id, name, append(e.reviews, annotated...))
-		if existed {
+// applyLocked applies c to the corpus under s.mu. It is the only code
+// that does: live writes, the group commit, WAL replay and replicas all
+// apply through it, so a replayed or shipped record changes the store
+// exactly as the live write that logged it did (timestamps come from
+// c, generations from the store's counter). It returns the item's
+// stats after an append, and applied false for a delete whose item is
+// gone.
+func (s *Store) applyLocked(c *change) (stats ItemStats, applied bool) {
+	switch c.op {
+	case opAppend:
+		s.appends.Add(1)
+		e, existed := s.items[c.id]
+		if !existed {
 			s.nextGen++
-			e.gen = s.nextGen
+			e = &entry{
+				item:      &model.Item{ID: c.id, Name: c.name},
+				gen:       s.nextGen,
+				annVer:    c.annVer,
+				createdAt: c.ts,
+				updatedAt: c.ts,
+			}
+			s.items[c.id] = e
 		}
-		e.numSentences += newSentences
-		e.numPairs += newPairs
-		e.updatedAt = now
-	}
-	if len(raws) > 0 {
-		if e.raws == nil && len(e.item.Reviews) > len(raws) {
-			// Legacy entry (recovered from a pre-lifecycle snapshot
-			// without raws): reconstruct the prefix from the annotated
-			// reviews so the retained raws cover the whole corpus.
-			e.raws = reconstructRaws(e.item.Reviews[:len(e.item.Reviews)-len(annotated)])
+		// Appending nothing to an existing item without a rename leaves
+		// its generation as it is.
+		renamed := c.name != "" && c.name != e.item.Name
+		if existed && len(c.annotated) == 0 && !renamed {
+			return e.stats(), true
 		}
-		e.raws = append(e.raws, raws...)
+		if existed || len(c.annotated) > 0 {
+			name := c.name
+			if !renamed {
+				name = e.item.Name
+			}
+			if e.reviews == nil {
+				// A corpus that went through here is never nil, so a
+				// snapshot writes it as [] rather than null.
+				e.reviews = make([]model.Review, 0, len(c.annotated))
+			}
+			// O(new reviews): the old ones stay where they are.
+			e.publish(c.id, name, append(e.reviews, c.annotated...))
+			if existed {
+				s.nextGen++
+				e.gen = s.nextGen
+			}
+			sentences, pairs := countAnnotations(c.annotated)
+			e.numSentences += sentences
+			e.numPairs += pairs
+			e.updatedAt = c.ts
+		}
+		e.raws = append(e.raws, c.raws...)
+		if existed && e.annVer != c.annVer {
+			// The corpus now mixes annotations from two pipeline
+			// versions; the sentinel forces a re-annotation before the
+			// next solve. The incremental indexes were built over the old
+			// annotations, so they go with it — exactly like the annVer
+			// invalidation.
+			e.annVer = annVerMixed
+			e.invalidateIndexes()
+		}
+		return e.stats(), true
+	case opDelete:
+		if _, ok := s.items[c.id]; !ok {
+			return ItemStats{}, false
+		}
+		delete(s.items, c.id)
+		s.cache.PurgeItem(c.id)
+	case opActivate:
+		s.rt.Store(c.rt)
+		s.activations.Add(1)
+		s.metrics.activations.Inc()
 	}
-	if existed && e.annVer != annVer {
-		// The corpus now mixes annotations from two pipeline versions;
-		// the sentinel forces a re-annotation before the next solve.
-		// The incremental indexes were built over the old annotations,
-		// so they go with it — exactly like the annVer invalidation.
-		e.annVer = annVerMixed
-		e.invalidateIndexes()
-	}
-	return e.stats()
+	return ItemStats{}, true
 }
 
 // reconstructRaws rebuilds raw reviews from annotated ones by joining
-// sentence texts. Used for corpora recovered from snapshots that
-// predate raw-review retention; the reconstruction is faithful enough
-// to re-annotate (the pipeline re-splits on sentence boundaries).
+// sentence texts. entryFromSnap uses it for items restored from
+// snapshots that predate raw-review retention; the reconstruction is
+// faithful enough to re-annotate (the pipeline re-splits on sentence
+// boundaries).
 func reconstructRaws(annotated []model.Review) []extract.RawReview {
 	raws := make([]extract.RawReview, len(annotated))
 	for i := range annotated {
@@ -580,22 +632,11 @@ func (s *Store) Delete(id string) (bool, error) {
 	if s.replica {
 		return false, ErrReadOnly
 	}
-	now := time.Now()
-	if s.persist != nil {
-		existed, err := s.persist.commitDelete(id, now)
-		if err != nil {
-			return false, fmt.Errorf("store: wal delete: %w", err)
-		}
-		return existed, nil
+	_, existed, err := s.write(change{op: opDelete, id: id, ts: time.Now()})
+	if err != nil {
+		return false, fmt.Errorf("store: wal delete: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.items[id]; !ok {
-		return false, nil
-	}
-	delete(s.items, id)
-	s.cache.PurgeItem(id)
-	return true, nil
+	return existed, nil
 }
 
 // cacheKey identifies one solved summary: the item at an exact corpus
@@ -752,11 +793,6 @@ func (s *Store) itemAt(rt *ontoreg.Runtime, id string) (*model.Item, uint64, boo
 		raws := e.raws
 		s.mu.RUnlock()
 
-		if raws == nil {
-			// Recovered from a pre-lifecycle snapshot: reconstruct raw
-			// text from the annotated reviews we have.
-			raws = reconstructRaws(snap.Reviews)
-		}
 		start := time.Now()
 		annotated := rt.Pipeline.AnnotateReviews(raws, 0)
 		if h := s.testAnnotateHook; h != nil {
@@ -788,9 +824,6 @@ func (s *Store) itemAt(rt *ontoreg.Runtime, id string) (*model.Item, uint64, boo
 		// version; drop them so the next solve rebuilds over ni.
 		e2.invalidateIndexes()
 		e2.numSentences, e2.numPairs = countAnnotations(annotated)
-		if e2.raws == nil {
-			e2.raws = raws
-		}
 		s.mu.Unlock()
 		s.reannotations.Add(1)
 		s.metrics.reannotations.Inc()
@@ -1132,25 +1165,15 @@ func (s *Store) ActivateOntology(rt *ontoreg.Runtime) error {
 	if cur := s.rt.Load(); cur.Version == rt.Version && cur.Name == rt.Name {
 		return nil
 	}
-	if s.persist != nil {
-		if len(rt.Payload) == 0 {
-			return errors.New("store: durable activation requires a registry entry (runtime has no payload)")
-		}
-		if err := s.persist.commitActivate(rt); err != nil {
-			return fmt.Errorf("store: wal activate: %w", err)
-		}
-		return nil
+	if s.persist != nil && len(rt.Payload) == 0 {
+		return errors.New("store: durable activation requires a registry entry (runtime has no payload)")
 	}
-	s.mu.Lock()
-	s.setRuntimeLocked(rt)
-	s.mu.Unlock()
+	// The record embeds the runtime's entry payload, so replay and
+	// replicas rebuild the exact runtime from the log alone. An append
+	// annotated under the old runtime but applied after the swap marks
+	// its item mixed (it re-annotates lazily).
+	if _, _, err := s.write(change{op: opActivate, ts: time.Now(), rt: rt}); err != nil {
+		return fmt.Errorf("store: wal activate: %w", err)
+	}
 	return nil
-}
-
-// setRuntimeLocked publishes rt as the active runtime. Callers hold
-// s.mu so swaps are ordered with WAL apply / replica bookkeeping.
-func (s *Store) setRuntimeLocked(rt *ontoreg.Runtime) {
-	s.rt.Store(rt)
-	s.activations.Add(1)
-	s.metrics.activations.Inc()
 }

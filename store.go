@@ -84,8 +84,9 @@ type Store interface {
 	// Recovery reports what OpenStore restored from disk; ok is false
 	// for in-memory stores.
 	Recovery() (RecoveryStats, bool)
-	// PersistErr returns the most recent background fsync/snapshot
-	// failure, if any.
+	// PersistErr returns a failed background fsync, which stays
+	// reported, or else the last snapshot's failure until a snapshot
+	// succeeds; nil if neither.
 	PersistErr() error
 	// Close flushes the WAL, writes a final snapshot and releases the
 	// log (no-op for in-memory stores). Safe to call more than once.
